@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import SUPPORT_AND_CONFIDENCE
-from .interest import InterestEvaluator
+from .interest import InterestEvaluator, beats_expectation
 from .rules import QuantitativeRule, close_ancestors
 
 
@@ -147,29 +147,19 @@ def explain_rule(
             if expected_conf > 0
             else float("inf")
         )
-        sup_ok = sup_ratio >= r_level or expected_sup == 0
-        conf_ok = conf_ratio >= r_level or expected_conf == 0
+        sup_ok = beats_expectation(rule.support, expected_sup, r_level)
+        conf_ok = beats_expectation(rule.confidence, expected_conf, r_level)
         if config.interest_mode == SUPPORT_AND_CONFIDENCE:
             deviation_ok = sup_ok and conf_ok
         else:
             deviation_ok = sup_ok or conf_ok
 
-        spec_ok = True
         failing = None
         if deviation_ok and config.apply_specialization_check:
-            for difference in evaluator._expressible_differences(
-                rule.itemset
-            ):
-                expected = evaluator.expected_support(
-                    difference, ancestor.itemset
-                )
-                if (
-                    evaluator.itemset_support(difference)
-                    < r_level * expected - 1e-9
-                ):
-                    spec_ok = False
-                    failing = difference
-                    break
+            failing = evaluator.failing_difference(
+                rule.itemset, ancestor.itemset
+            )
+        spec_ok = failing is None
         explanation.comparisons.append(
             AncestorComparison(
                 ancestor=ancestor,

@@ -45,6 +45,7 @@ the final canonical sort keeps the output bit-identical to serial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .config import (
 )
 from .counting import PrefixSumCounter
 from .frequent_items import FrequentItems
-from .items import Item
+from .items import Item, attributes_of
 from .mapper import TableMapper
 from .rules import QuantitativeRule
 
@@ -105,16 +106,47 @@ class InterestFilterStage(PipelineStage):
         )
         return {"interesting_rules": interesting}
 
+
 _EPS = 1e-9
 
 #: Skip the prefix-sum cache for signatures whose cell count would exceed
 #: this; fall back to per-itemset record scans instead.
 _COUNTER_CELL_LIMIT = 4_000_000
 
+#: Cells of one chunk's (chunk x interesting) ancestor matrix.
+_CHUNK_CELLS = 8_000_000
+
+#: Expanded (ancestor, ancestor) pairs per close-ancestor slice.  A pair
+#: holds about four int64 words where an ancestor-matrix cell holds one
+#: byte, so this keeps the slice's working set within the chunk's.
+_CLOSE_PAIRS_PER_SLICE = _CHUNK_CELLS // 32
+
+
+def beats_expectation(actual, expected, r):
+    """The measure's one comparison: ``actual`` reaches ``r`` times
+    ``expected``, up to a 1e-9 tolerance for float noise.
+
+    Scalars or numpy arrays.  The filter and
+    :func:`~repro.core.explain.explain_rule` both decide through it, so
+    they agree at ties.
+    """
+    return actual + _EPS >= r * expected
+
 
 @dataclass
 class InterestStats:
-    """Bookkeeping for reporting and tests."""
+    """Bookkeeping for reporting and tests.
+
+    ``deviation_tests`` counts (rule, close ancestor) pairs whose support
+    and confidence were compared with their expectations.
+    ``specialization_checks`` counts (rule, close ancestor, expressible
+    difference) comparisons: every difference of every rule that passed
+    all its deviation tests, against each of its close ancestors.
+    ``on_demand_supports`` counts the itemsets (mostly difference boxes)
+    whose support was counted from the table instead of read from the
+    frequent itemsets; a box needed again in a later chunk or group is
+    counted again.
+    """
 
     rules_total: int = 0
     rules_interesting: int = 0
@@ -162,18 +194,14 @@ class InterestEvaluator:
         self._config = config
         self._n = mapper.num_records
         self.stats = InterestStats()
-        # Frequent itemsets bucketed by attribute signature: only same-
-        # signature itemsets can be specializations of one another.
-        self._buckets: dict = {}
-        for itemset in support_counts:
-            sig = tuple(item.attribute for item in itemset)
-            self._buckets.setdefault(sig, []).append(itemset)
-        self._bucket_arrays: dict = {}
+        # Frequent itemsets by attribute signature (only same-signature
+        # itemsets can be specializations of one another), built on the
+        # first specialization search.
+        self._members: dict | None = None
+        self._bounds: dict = {}
+        self._join_indexes: dict = {}
         self._counters: dict = {}
         self._support_cache: dict = {}
-        self._spec_cache: dict = {}
-        self._diff_cache: dict = {}
-        self._corange_indexes: dict = {}
 
     # ------------------------------------------------------------------
     # Probabilities and expectations
@@ -188,29 +216,30 @@ class InterestEvaluator:
         if count is not None:
             return count / self._n
         cached = self._support_cache.get(itemset)
-        if cached is not None:
-            return cached
-        support = self._count_itemset(itemset)
-        self._support_cache[itemset] = support
-        self.stats.on_demand_supports += 1
-        return support
+        if cached is None:
+            lo, hi = _itemset_bounds(itemset)
+            supports = self._box_supports(attributes_of(itemset), lo, hi)
+            cached = self._support_cache[itemset] = float(supports[0])
+        return cached
 
-    def _count_itemset(self, itemset) -> float:
-        if self._n == 0:
-            return 0.0
-        counter = self._counter_for(
-            tuple(item.attribute for item in itemset)
-        )
+    def _box_supports(self, sig: tuple, lo: np.ndarray, hi: np.ndarray):
+        """Fractional supports of (m, k) boxes over ``sig``, counted from
+        the table: one prefix-sum lookup for all of them, or one record
+        scan per box when the signature's joint table is too large."""
+        self.stats.on_demand_supports += len(lo)
+        if self._n == 0 or not len(lo):
+            return np.zeros(len(lo))
+        counter = self._counter_for(sig)
         if counter is not None:
-            lo = np.array([[item.lo for item in itemset]], dtype=np.int64)
-            hi = np.array([[item.hi for item in itemset]], dtype=np.int64)
-            return int(counter.count_rects(lo, hi)[0]) / self._n
-        mask = None
-        for item in itemset:
-            col = self._mapper.column(item.attribute)
-            cond = (col >= item.lo) & (col <= item.hi)
-            mask = cond if mask is None else mask & cond
-        return float(np.count_nonzero(mask)) / self._n
+            return counter.count_rects(lo, hi) / self._n
+        columns = [self._mapper.column(a) for a in sig]
+        counts = np.empty(len(lo), dtype=np.int64)
+        for row in range(len(lo)):
+            mask = np.ones(self._n, dtype=bool)
+            for column, low, high in zip(columns, lo[row], hi[row]):
+                mask &= (column >= low) & (column <= high)
+            counts[row] = np.count_nonzero(mask)
+        return counts / self._n
 
     def _counter_for(self, attrs: tuple):
         """Cached prefix-sum counter over an attribute tuple, or ``None``
@@ -275,117 +304,169 @@ class InterestEvaluator:
         For every frequent specialization X' of ``itemset`` such that
         ``itemset - X'`` is itself an itemset, the difference must be
         R-interesting (on support) w.r.t. ``generalization``.
-
-        The set of expressible differences depends only on ``itemset``, so
-        it is computed once and reused across every ancestor the itemset
-        is tested against.
         """
-        key = (itemset, generalization)
-        verdict = self._spec_cache.get(key)
-        if verdict is not None:
-            return verdict
-        r = self._config.effective_interest_level
-        verdict = True
-        for difference in self._expressible_differences(itemset):
-            self.stats.specialization_checks += 1
-            if not self._support_exceeds(difference, generalization, r):
-                verdict = False
-                break
-        self._spec_cache[key] = verdict
-        return verdict
+        return self.failing_difference(itemset, generalization) is None
+
+    def failing_difference(self, itemset, generalization):
+        """The first expressible difference of ``itemset`` that is not
+        R-interesting w.r.t. ``generalization``, or ``None``.
+
+        A one-row call into the filter's batched check, so a single
+        verdict (and :func:`~repro.core.explain.explain_rule`) is decided
+        by the same code as the whole rule set.
+        """
+        sig = attributes_of(itemset)
+        lo, hi = _itemset_bounds(itemset)
+        first, d_lo, d_hi = self._specialization_failures(
+            sig,
+            lo,
+            hi,
+            np.zeros(1, dtype=np.int64),
+            np.array([[self.item_probability(z) for z in generalization]]),
+            np.array([self.itemset_support(generalization)]),
+        )
+        if first[0] < 0:
+            return None
+        return _as_itemset(sig, d_lo[first[0]], d_hi[first[0]])
 
     def _expressible_differences(self, itemset) -> tuple:
-        """``X - X'`` for every frequent specialization X' with an
-        expressible (single-box) difference, deduplicated, cached per X.
-
-        A specialization has an expressible difference only when it
-        matches X exactly on all attributes but one and shares an endpoint
-        on the remaining one, so instead of scanning the whole bucket for
-        contained boxes, the co-range index (frequent itemsets keyed by
-        "everything except position j") jumps straight to the candidates.
-        """
-        cached = self._diff_cache.get(itemset)
-        if cached is not None:
-            return cached
-        sig = tuple(item.attribute for item in itemset)
-        index = self._corange_index(sig)
-        differences = []
-        seen = set()
-        for j, item in enumerate(itemset):
-            rest = itemset[:j] + itemset[j + 1:]
-            for lo, hi in index[j].get(rest, ()):
-                if lo < item.lo or hi > item.hi:
-                    continue  # not a specialization on this position
-                if lo == item.lo and hi == item.hi:
-                    continue  # X itself
-                if lo == item.lo:
-                    remainder = Item(item.attribute, hi + 1, item.hi)
-                elif hi == item.hi:
-                    remainder = Item(item.attribute, item.lo, lo - 1)
-                else:
-                    continue  # interior: X - X' is two boxes
-                difference = itemset[:j] + (remainder,) + itemset[j + 1:]
-                if difference not in seen:
-                    seen.add(difference)
-                    differences.append(difference)
-        cached = tuple(differences)
-        self._diff_cache[itemset] = cached
-        return cached
-
-    def _corange_index(self, sig: tuple) -> list:
-        """Per-position co-range index of one signature's frequent itemsets.
-
-        ``index[j]`` maps "the itemset minus position j" to the (lo, hi)
-        ranges appearing at position j alongside exactly those items.
-        """
-        index = self._corange_indexes.get(sig)
-        if index is not None:
-            return index
-        index = [dict() for _ in sig]
-        for member in self._buckets.get(sig, ()):
-            for j, item in enumerate(member):
-                rest = member[:j] + member[j + 1:]
-                index[j].setdefault(rest, []).append((item.lo, item.hi))
-        self._corange_indexes[sig] = index
-        return index
-
-    def _specializations_of(self, itemset):
-        """Strict frequent specializations of ``itemset`` (vectorized)."""
-        sig = tuple(item.attribute for item in itemset)
-        arrays = self._bucket_arrays.get(sig)
-        if arrays is None:
-            bucket = self._buckets.get(sig, [])
-            if not bucket:
-                self._bucket_arrays[sig] = ((), None, None)
-            else:
-                lo = np.array(
-                    [[it.lo for it in member] for member in bucket],
-                    dtype=np.int64,
-                )
-                hi = np.array(
-                    [[it.hi for it in member] for member in bucket],
-                    dtype=np.int64,
-                )
-                self._bucket_arrays[sig] = (tuple(bucket), lo, hi)
-            arrays = self._bucket_arrays[sig]
-        bucket, lo, hi = arrays
-        if not bucket:
-            return []
-        own_lo = np.array([it.lo for it in itemset], dtype=np.int64)
-        own_hi = np.array([it.hi for it in itemset], dtype=np.int64)
-        contained = np.all(lo >= own_lo, axis=1) & np.all(
-            hi <= own_hi, axis=1
+        """``X - X'`` for every frequent specialization X' of ``itemset``
+        with an expressible (single-box) difference, in the order the
+        specialization check tests them."""
+        sig = attributes_of(itemset)
+        lo, hi = _itemset_bounds(itemset)
+        _, d_lo, d_hi = self._differences(sig, lo, hi)
+        return tuple(
+            _as_itemset(sig, d_lo[t], d_hi[t]) for t in range(len(d_lo))
         )
-        out = []
-        for idx in np.nonzero(contained)[0]:
-            member = bucket[idx]
-            if member != itemset:
-                out.append(member)
-        return out
 
     def _support_exceeds(self, itemset, generalization, r) -> bool:
         expected = self.expected_support(itemset, generalization)
-        return self.itemset_support(itemset) + _EPS >= r * expected
+        return beats_expectation(self.itemset_support(itemset), expected, r)
+
+    # ------------------------------------------------------------------
+    # Batched specialization search
+    # ------------------------------------------------------------------
+    def _frequent_bounds(self, sig: tuple) -> tuple:
+        """``(lo, hi)`` bound arrays of the frequent itemsets over ``sig``,
+        rows in ``support_counts`` order."""
+        bounds = self._bounds.get(sig)
+        if bounds is not None:
+            return bounds
+        if self._members is None:
+            self._members = {}
+            for itemset in self._supports:
+                self._members.setdefault(attributes_of(itemset), []).append(
+                    itemset
+                )
+        members = self._members.get(sig, ())
+        # One flat pass over every (attribute, lo, hi) field.
+        fields = np.fromiter(
+            chain.from_iterable(chain.from_iterable(members)),
+            dtype=np.int64,
+            count=3 * len(sig) * len(members),
+        ).reshape(len(members), len(sig), 3)
+        bounds = self._bounds[sig] = (fields[:, :, 1], fields[:, :, 2])
+        return bounds
+
+    def _join_index(self, sig: tuple, j: int) -> "_RowIndex":
+        """The frequent itemsets over ``sig`` keyed by every position but
+        ``j``."""
+        index = self._join_indexes.get((sig, j))
+        if index is None:
+            lo, hi = self._frequent_bounds(sig)
+            index = _RowIndex(_columns_except(lo, hi, j), len(lo))
+            self._join_indexes[(sig, j)] = index
+        return index
+
+    def _differences(self, sig: tuple, x_lo, x_hi) -> tuple:
+        """Every expressible difference ``X - X'`` of each row X of
+        ``(x_lo, x_hi)``, X' ranging over the frequent itemsets.
+
+        ``X - X'`` is a single box only when X' equals X on every
+        position but one, j, and shares one endpoint of X's range there:
+        a join on "every position but j" finds those X', and the
+        remainder of X's range at j is the difference.  Distinct X' give
+        distinct differences, so nothing needs deduplicating.
+
+        Returns ``(owner, lo, hi)``: difference t is the box
+        ``(lo[t], hi[t])`` of row ``owner[t]``, ordered by owner, then j,
+        then X' in ``support_counts`` order.
+        """
+        f_lo, f_hi = self._frequent_bounds(sig)
+        owners, d_los, d_his = [], [], []
+        for j in range(len(sig)):
+            index = self._join_index(sig, j)
+            start, stop = index.ranges(
+                _columns_except(x_lo, x_hi, j), len(x_lo)
+            )
+            q, pos = _expand(start, stop - start)
+            f = index.order[pos]
+            lo_j, hi_j = f_lo[f, j], f_hi[f, j]
+            x_lo_j, x_hi_j = x_lo[q, j], x_hi[q, j]
+            # X' keeps X's lower end and stops short: the remainder is
+            # above it; or X' keeps the upper end: the remainder is below.
+            above = (lo_j == x_lo_j) & (hi_j < x_hi_j)
+            below = (hi_j == x_hi_j) & (lo_j > x_lo_j)
+            keep = above | below
+            q = q[keep]
+            d_lo, d_hi = x_lo[q], x_hi[q]
+            d_lo[:, j] = np.where(above[keep], hi_j[keep] + 1, x_lo_j[keep])
+            d_hi[:, j] = np.where(above[keep], x_hi_j[keep], lo_j[keep] - 1)
+            owners.append(q)
+            d_los.append(d_lo)
+            d_his.append(d_hi)
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        return (
+            owner[order],
+            np.concatenate(d_los)[order],
+            np.concatenate(d_his)[order],
+        )
+
+    def _specialization_failures(
+        self, sig: tuple, x_lo, x_hi, pair_x, z_prob, z_sup
+    ) -> tuple:
+        """The specialization check for a batch of (X, Ẑ) pairs.
+
+        ``(x_lo, x_hi)`` hold itemsets X over ``sig``; pair p tests X row
+        ``pair_x[p]`` against a generalization with item probabilities
+        ``z_prob[p]`` and support ``z_sup[p]``.  Every difference of
+        every pair is counted in one call and tested in one shot.
+
+        Returns ``(first, d_lo, d_hi)``: ``first[p]`` is the row of
+        ``(d_lo, d_hi)`` holding pair p's first failing difference, or -1
+        when all of them leave an R-interesting remainder.
+        """
+        r = self._config.effective_interest_level
+        owner, d_lo, d_hi = self._differences(sig, x_lo, x_hi)
+        d_sup = self._box_supports(sig, d_lo, d_hi)
+        d_prob = _range_probabilities(self._freq, sig, d_lo, d_hi)
+        per_x = np.bincount(owner, minlength=len(x_lo))
+        test_pair, test_diff = _expand(
+            (np.cumsum(per_x) - per_x)[pair_x], per_x[pair_x]
+        )
+        self.stats.specialization_checks += len(test_pair)
+        # Π_i Pr(d_i) / Pr(ẑ_i) multiplied in _projection's order, so
+        # each expectation is the scalar path's float.
+        ratio = np.ones(len(test_pair))
+        degenerate = np.zeros(len(test_pair), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(len(sig)):
+                p_hat = z_prob[test_pair, i]
+                degenerate |= p_hat == 0.0
+                ratio *= d_prob[test_diff, i] / p_hat
+        ratio[degenerate] = 0.0
+        ok = beats_expectation(
+            d_sup[test_diff], ratio * z_sup[test_pair], r
+        )
+        first = np.full(len(pair_x), -1, dtype=np.int64)
+        failed = np.flatnonzero(~ok)
+        # Tests run pair by pair in difference order: a pair's first
+        # failed test is its first failing difference.
+        pairs, at = np.unique(test_pair[failed], return_index=True)
+        first[pairs] = test_diff[failed[at]]
+        return first, d_lo, d_hi
 
     # ------------------------------------------------------------------
     # Rule-level interest
@@ -397,9 +478,9 @@ class InterestEvaluator:
         r = self._config.effective_interest_level
         self.stats.deviation_tests += 1
         expected_sup = self.expected_support(rule.itemset, ancestor.itemset)
-        sup_ok = rule.support + _EPS >= r * expected_sup
+        sup_ok = beats_expectation(rule.support, expected_sup, r)
         expected_conf = self.expected_confidence(rule, ancestor)
-        conf_ok = rule.confidence + _EPS >= r * expected_conf
+        conf_ok = beats_expectation(rule.confidence, expected_conf, r)
         if self._config.interest_mode == SUPPORT_AND_CONFIDENCE:
             deviation_ok = sup_ok and conf_ok
         else:
@@ -424,10 +505,10 @@ class InterestEvaluator:
         """Return the rules that are interesting within ``rules``.
 
         Each attribute-signature group is processed most-general-first in
-        batches of equal generality; ancestor containment, close-ancestor
-        minimality and the deviation tests run as numpy matrix operations
-        against the group's accumulated interesting set, and only
-        deviation survivors reach the (cached) specialization check.
+        batches of equal generality.  Per chunk of a batch, ancestor
+        containment, close-ancestor minimality, the deviation tests and
+        the specialization check of the deviation survivors each run as
+        array operations over the whole chunk.
 
         Groups are independent of one another, so with a multi-worker
         ``executor`` (or an explicit ``block_size``) blocks of groups run
@@ -521,39 +602,35 @@ class _GroupArrays:
     conf: np.ndarray  # (G,)
     generality: np.ndarray  # (G,) descending
     num_antecedent: int
+    #: The rules' itemset attributes, sorted, and the column order that
+    #: lays ``lo``/``hi``/``probs`` out in that (itemset) order.
+    itemset_signature: tuple
+    itemset_order: np.ndarray
 
 
 def _build_group_arrays(group: list, freq) -> _GroupArrays:
     k1 = len(group[0].antecedent)
-    k2 = len(group[0].consequent)
-    n = max(1, freq.num_records)
-    lo = np.array(
-        [
-            [it.lo for it in rule.antecedent + rule.consequent]
-            for rule in group
-        ],
+    k = k1 + len(group[0].consequent)
+    # One flat pass over every (attribute, lo, hi) field, antecedent
+    # items first.
+    fields = np.fromiter(
+        chain.from_iterable(
+            chain.from_iterable(r.antecedent + r.consequent for r in group)
+        ),
         dtype=np.int64,
-    )
-    hi = np.array(
-        [
-            [it.hi for it in rule.antecedent + rule.consequent]
-            for rule in group
-        ],
-        dtype=np.int64,
-    )
+        count=3 * k * len(group),
+    ).reshape(len(group), k, 3)
+    lo, hi = fields[:, :, 1], fields[:, :, 2]
     sup = np.fromiter((r.support for r in group), np.float64, len(group))
     conf = np.fromiter((r.confidence for r in group), np.float64, len(group))
-    # Per-item probabilities straight from the cumulative distributions:
-    # column j always holds the same attribute within a signature group.
-    probs = np.empty(lo.shape, dtype=np.float64)
-    first = group[0].antecedent + group[0].consequent
-    for j, item in enumerate(first):
-        cum = freq.attribute_counts[item.attribute].cumulative
-        probs[:, j] = (cum[hi[:, j] + 1] - cum[lo[:, j]]) / n
+    # Column j always holds the same attribute within a signature group.
+    attributes = fields[0, :, 0].tolist()
+    probs = _range_probabilities(freq, attributes, lo, hi)
     generality = (hi - lo + 1).sum(axis=1)
     # Most-general-first; stable, so the caller's deterministic rule order
     # breaks ties.
     order = np.argsort(-generality, kind="stable")
+    itemset_order = np.argsort(attributes)
     return _GroupArrays(
         [group[i] for i in order],
         lo[order],
@@ -563,6 +640,8 @@ def _build_group_arrays(group: list, freq) -> _GroupArrays:
         conf[order],
         generality[order],
         k1,
+        tuple(attributes[i] for i in itemset_order),
+        itemset_order,
     )
 
 
@@ -598,7 +677,7 @@ class _GroupFilter:
         interesting_lo = a.lo[idx]
         interesting_hi = a.hi[idx]
         # Chunk so the (chunk x I) working matrices stay modest.
-        chunk = max(1, 8_000_000 // max(1, len(idx)))
+        chunk = max(1, _CHUNK_CELLS // max(1, len(idx)))
         newly_interesting: list = []
         for lo in range(start, stop, chunk):
             self._process_chunk(
@@ -627,43 +706,37 @@ class _GroupFilter:
             anc &= interesting_lo[:, d][None, :] <= a.lo[batch, d][:, None]
             anc &= interesting_hi[:, d][None, :] >= a.hi[batch, d][:, None]
 
-        no_ancestors = ~anc.any(axis=1)
-        out.extend(int(b) for b in batch[no_ancestors])
-
-        # Collect the (rule, close ancestor) pairs of the whole chunk, then
-        # run every deviation test in one vectorized shot; only survivors
-        # reach the (cached) Python-level specialization check.
-        pair_rules: list = []
-        pair_ancestors: list = []
-        pair_slices: list = []  # (rule_row, start, stop) into the pair list
-        for offset in np.nonzero(~no_ancestors)[0]:
-            b = int(batch[offset])
-            ancestor_rows = idx[np.nonzero(anc[offset])[0]]
-            close = self._close_among(ancestor_rows)
-            pair_slices.append(
-                (b, len(pair_rules), len(pair_rules) + len(close))
-            )
-            pair_rules.extend([b] * len(close))
-            pair_ancestors.extend(int(row) for row in close)
-        if not pair_slices:
+        # (rule, ancestor) pairs, rule by rule, ancestors in idx order.
+        rows, cols = np.nonzero(anc)
+        num_ancestors = np.bincount(rows, minlength=len(batch))
+        out.extend((batch[num_ancestors == 0]).tolist())
+        if not len(rows):
             return
-        deviation_ok = self._deviation_ok(
-            np.array(pair_rules, dtype=np.int64),
-            np.array(pair_ancestors, dtype=np.int64),
+
+        close = _close_pairs(
+            rows, cols, num_ancestors, interesting_lo, interesting_hi
         )
-        for b, lo, hi in pair_slices:
-            if not deviation_ok[lo:hi].all():
-                continue
-            if self._ev._config.apply_specialization_check:
-                rule_itemset = self._a.rules[b].itemset
-                if not all(
-                    self._ev.specialization_condition(
-                        rule_itemset, self._a.rules[anc_row].itemset
-                    )
-                    for anc_row in pair_ancestors[lo:hi]
-                ):
-                    continue
-            out.append(b)
+        pair_offset = rows[close]
+        pair_rule = batch[pair_offset]
+        pair_ancestor = idx[cols[close]]
+        # A rule passes when it passes against every close ancestor:
+        # count each rule's failed pairs.
+        failed = ~self._deviation_ok(pair_rule, pair_ancestor)
+        passed = (num_ancestors > 0) & (
+            np.bincount(pair_offset[failed], minlength=len(batch)) == 0
+        )
+        if self._ev._config.apply_specialization_check and passed.any():
+            survivor = passed[pair_offset]
+            failed = ~self._specialization_ok(
+                pair_rule[survivor], pair_ancestor[survivor]
+            )
+            passed &= (
+                np.bincount(
+                    pair_offset[survivor][failed], minlength=len(batch)
+                )
+                == 0
+            )
+        out.extend(batch[passed].tolist())
 
     def _deviation_ok(self, rule_rows, ancestor_rows) -> np.ndarray:
         """Vectorized deviation test for (rule, ancestor) row pairs."""
@@ -673,33 +746,154 @@ class _GroupFilter:
         r = ev._config.effective_interest_level
         ratio = a.probs[rule_rows] / a.probs[ancestor_rows]
         expected_sup = a.sup[ancestor_rows] * ratio.prod(axis=1)
-        sup_ok = a.sup[rule_rows] + _EPS >= r * expected_sup
+        sup_ok = beats_expectation(a.sup[rule_rows], expected_sup, r)
         conf_ratio = ratio[:, a.num_antecedent:].prod(axis=1)
         expected_conf = a.conf[ancestor_rows] * conf_ratio
-        conf_ok = a.conf[rule_rows] + _EPS >= r * expected_conf
+        conf_ok = beats_expectation(a.conf[rule_rows], expected_conf, r)
         if ev._config.interest_mode == SUPPORT_AND_CONFIDENCE:
             return sup_ok & conf_ok
         return sup_ok | conf_ok
 
-    def _close_among(self, ancestor_rows: np.ndarray) -> np.ndarray:
-        """Close (minimal) members of an ancestor set.
+    def _specialization_ok(self, rule_rows, ancestor_rows) -> np.ndarray:
+        """Specialization check for (rule, ancestor) row pairs.
 
-        An ancestor is close when it is not an ancestor of any *other*
-        member of the set — i.e. nothing in the set sits strictly between
-        it and the rule.  Ancestor sets are small, so the pairwise
-        containment test is computed on the subset only.
+        The rules' itemsets are X and the ancestors' itemsets Ẑ; an
+        ancestor rule's support is its itemset's support.
         """
-        if len(ancestor_rows) == 1:
-            return ancestor_rows
         a = self._a
-        lo = a.lo[ancestor_rows]
-        hi = a.hi[ancestor_rows]
-        # among[i, j]: member i is an ancestor of member j.
-        among = np.all(lo[:, None, :] <= lo[None, :, :], axis=2) & np.all(
-            hi[:, None, :] >= hi[None, :, :], axis=2
+        order = a.itemset_order
+        rules, pair_x = np.unique(rule_rows, return_inverse=True)
+        first, _, _ = self._ev._specialization_failures(
+            a.itemset_signature,
+            a.lo[rules][:, order],
+            a.hi[rules][:, order],
+            pair_x,
+            a.probs[ancestor_rows][:, order],
+            a.sup[ancestor_rows],
         )
-        np.fill_diagonal(among, False)
-        return ancestor_rows[~among.any(axis=1)]
+        return first < 0
+
+
+def _close_pairs(rows, cols, num_ancestors, lo, hi) -> np.ndarray:
+    """Mask over (rule, ancestor) pairs: True where the ancestor is close.
+
+    ``rows``/``cols`` list each rule's ancestors, rule by rule, as rows of
+    ``lo``/``hi``; ``num_ancestors[r]`` is rule r's count m.  An ancestor
+    is close when it contains no other ancestor of the same rule — then
+    nothing sits between it and the rule.  Each rule's m ancestors expand
+    into their m² ordered pairs, tested for containment together, in
+    slices of at most ``_CLOSE_PAIRS_PER_SLICE`` pairs.
+    """
+    first = np.cumsum(num_ancestors) - num_ancestors
+    partners = num_ancestors[rows]  # m of each pair's rule
+    ends = np.cumsum(partners)
+    anc_lo, anc_hi = lo[cols], hi[cols]
+    not_close = np.zeros(len(rows), dtype=bool)
+    t0 = 0
+    while t0 < len(rows):
+        budget = (ends[t0 - 1] if t0 else 0) + _CLOSE_PAIRS_PER_SLICE
+        t1 = max(t0 + 1, int(np.searchsorted(ends, budget, "right")))
+        p, q = _expand(first[rows[t0:t1]], partners[t0:t1])
+        p += t0
+        # contains: ancestor p's box holds ancestor q's (q != p).
+        contains = p != q
+        for d in range(lo.shape[1]):
+            contains &= anc_lo[p, d] <= anc_lo[q, d]
+            contains &= anc_hi[p, d] >= anc_hi[q, d]
+        not_close[p[contains]] = True
+        t0 = t1
+    return ~not_close
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple:
+    """Flatten the ranges ``[starts[i], starts[i] + counts[i])``.
+
+    Returns ``(owner, position)``: for each element of each range, in
+    range order, the index i of its range and its position.
+    """
+    owner = np.repeat(np.arange(len(counts)), counts)
+    shift = starts - (np.cumsum(counts) - counts)
+    return owner, np.arange(len(owner)) + shift[owner]
+
+
+class _RowIndex:
+    """The rows of some integer key columns, sorted for joins.
+
+    Row keys are ranked column by column: the rank of columns ``0..c`` is
+    the rank of (rank of ``0..c-1``, column c) among the indexed rows, so
+    a key never exceeds rows x column values, however many columns it
+    spans and however large the codes are.  Queries follow the same
+    ranks with binary searches.
+    """
+
+    def __init__(self, columns: list, num_rows: int) -> None:
+        ranks = np.zeros(num_rows, dtype=np.int64)
+        self._levels = []
+        for column in columns:
+            radix = int(column.max()) + 1 if num_rows else 1
+            values, ranks = np.unique(
+                ranks * radix + column, return_inverse=True
+            )
+            self._levels.append((radix, values))
+        #: Row numbers grouped by key, in row order within a key.
+        self.order = np.argsort(ranks, kind="stable")
+        self._sorted = ranks[self.order]
+
+    def ranges(self, columns: list, num_rows: int) -> tuple:
+        """Per query row, the ``[start, stop)`` slice of :attr:`order`
+        holding the indexed rows with the same key."""
+        ranks = np.zeros(num_rows, dtype=np.int64)
+        if not len(self.order):
+            return ranks, ranks
+        found = np.ones(num_rows, dtype=bool)
+        for (radix, values), column in zip(self._levels, columns):
+            key = ranks * radix + column
+            ranks = np.minimum(np.searchsorted(values, key), len(values) - 1)
+            found &= (column < radix) & (values[ranks] == key)
+        start = np.searchsorted(self._sorted, ranks, "left")
+        stop = np.where(
+            found, np.searchsorted(self._sorted, ranks, "right"), start
+        )
+        return start, stop
+
+
+def _columns_except(lo: np.ndarray, hi: np.ndarray, j: int) -> list:
+    """Key columns of "every position but j": each other item's bounds."""
+    return [
+        bound[:, c]
+        for c in range(lo.shape[1])
+        if c != j
+        for bound in (lo, hi)
+    ]
+
+
+def _range_probabilities(freq, attributes, lo, hi) -> np.ndarray:
+    """Pr of every item of (m, k) bound arrays, column d over
+    ``attributes[d]``: ``FrequentItems.support``, straight from the
+    cumulative distributions."""
+    n = max(1, freq.num_records)
+    probs = np.empty(lo.shape, dtype=np.float64)
+    for d, attribute in enumerate(attributes):
+        cum = freq.attribute_counts[attribute].cumulative
+        probs[:, d] = (cum[hi[:, d] + 1] - cum[lo[:, d]]) / n
+    return probs
+
+
+def _itemset_bounds(itemset) -> tuple:
+    """One itemset as (1, k) ``lo`` and ``hi`` arrays."""
+    return (
+        np.array([[item.lo for item in itemset]], dtype=np.int64),
+        np.array([[item.hi for item in itemset]], dtype=np.int64),
+    )
+
+
+def _as_itemset(sig: tuple, lo, hi) -> tuple:
+    """One row of bound arrays over ``sig`` as an itemset."""
+    return tuple(
+        Item(attribute, int(low), int(high))
+        for attribute, low, high in zip(sig, lo, hi)
+    )
+
 
 def _interest_block(payload) -> tuple:
     """Worker: filter one block of attribute-signature groups.

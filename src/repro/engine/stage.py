@@ -235,7 +235,6 @@ class ExecutionEngine:
             cache_hit = produced is not MISSING
             if not cache_hit:
                 produced = stage.run(context) or {}
-            elapsed = time.perf_counter() - started
             absent = [k for k in stage.outputs if k not in produced]
             if absent:
                 raise StageError(
@@ -244,7 +243,18 @@ class ExecutionEngine:
                 )
             context.artifacts.update(produced)
             if key is not None and not cache_hit:
-                self.cache.put(key, {k: produced[k] for k in stage.outputs})
+                with tracer.span(
+                    "cache.put",
+                    kind="cache_store",
+                    parent=stage_span,
+                    stage=stage.name,
+                    backend=type(self.cache).__name__,
+                ):
+                    self.cache.put(
+                        key, {k: produced[k] for k in stage.outputs}
+                    )
+            # The stage's seconds cover its cache read or write.
+            elapsed = time.perf_counter() - started
         except BaseException:
             context.span_stack.pop()
             stage_span.finish(error=True)

@@ -287,8 +287,9 @@ def render_timing_report(spans, metrics_snapshot: dict | None = None) -> str:
     Renders the span tree indented by depth — runs, jobs and stages as
     their own lines, each stage's shard fan-out folded into a one-line
     summary (task count, summed worker time, skew), cache lookups
-    folded into the stage's ``cache=...`` annotation — followed by the
-    metrics snapshot when given.
+    folded into the stage's ``cache=...`` annotation, cache writes
+    (``cache.put``) on a line of their own — followed by the metrics
+    snapshot when given.
     """
     tree = span_tree(spans)
     per_stage_shards = shard_seconds(spans)

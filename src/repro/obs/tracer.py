@@ -41,7 +41,7 @@ from itertools import count
 
 #: Span kinds the pipeline emits (free-form; these are the conventions).
 SPAN_KINDS = (
-    "run", "job", "stage", "shard_task", "cache_lookup",
+    "run", "job", "stage", "shard_task", "cache_lookup", "cache_store",
     "remote_dispatch", "worker_shard", "event", "span",
 )
 

@@ -7,6 +7,8 @@ shards, and the stage/engine contract — plus the configuration surface
 CLI flags).
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.core.apriori_quant import build_engine_context
 from repro.core.mapper import TableMapper
 from repro.engine import (
     ExecutionEngine,
+    MemoryCache,
     ParallelExecutor,
     PipelineStage,
     SerialExecutor,
@@ -33,6 +36,7 @@ from repro.engine import (
     shard_view,
     sharded_map,
 )
+from repro.obs import Tracer
 from repro.table import RelationalTable, TableSchema, categorical, quantitative
 
 
@@ -223,6 +227,26 @@ class _Liar(PipelineStage):
         return {"something_else": 1}
 
 
+class _Cached(PipelineStage):
+    name = "cached"
+    outputs = ("value",)
+    cacheable = True
+
+    def fingerprint(self, context):
+        return "cached-key"
+
+    def run(self, context):
+        return {"value": 7}
+
+
+class _SlowPutCache(MemoryCache):
+    """A cache whose writes take far longer than the stage it stores."""
+
+    def put(self, key, value):
+        time.sleep(0.05)
+        super().put(key, value)
+
+
 class TestExecutionEngine:
     def test_artifacts_flow_between_stages(self):
         engine = ExecutionEngine()
@@ -256,6 +280,24 @@ class TestExecutionEngine:
         context = StageContext()
         engine.run_stage(_Producer(), context)
         assert context.engine is engine
+
+    def test_stage_seconds_cover_the_traced_cache_put(self):
+        engine = ExecutionEngine(cache=_SlowPutCache())
+        tracer = Tracer()
+        seconds = engine.run_stage(_Cached(), StageContext(tracer=tracer))
+        spans = tracer.spans()
+        (stage,) = [span for span in spans if span.kind == "stage"]
+        (put,) = [span for span in spans if span.name == "cache.put"]
+        assert stage.attributes["cache"] == "miss"
+        assert put.kind == "cache_store"
+        assert put.parent_id == stage.span_id
+        assert put.attributes["stage"] == "cached"
+        assert put.duration >= 0.05
+        assert seconds >= put.duration
+        assert engine.stage_seconds["cached"] == seconds
+        # A hit reads instead of writing: no second put.
+        engine.run_stage(_Cached(), StageContext(tracer=tracer))
+        assert len([s for s in tracer.spans() if s.name == "cache.put"]) == 1
 
 
 # ----------------------------------------------------------------------

@@ -208,10 +208,11 @@ class TestFilterRules:
 
 
 class TestSpecializationMachinery:
-    def test_corange_index_matches_bucket_scan(self, env):
+    def test_expressible_differences_match_definition(self, env):
         evaluator, support_counts, _ = env
-        # Cross-validate _expressible_differences against the direct
-        # definition (scan for specializations, subtract).
+        # Cross-validate the batched join behind _expressible_differences
+        # against the direct definition (scan for specializations,
+        # subtract).
         from repro.core.items import (
             is_strict_generalization,
             subtract_specialization,
@@ -227,15 +228,24 @@ class TestSpecializationMachinery:
                         want.add(diff)
             assert got == want
 
-    def test_specializations_of_matches_definition(self, env):
-        evaluator, support_counts, _ = env
-        from repro.core.items import is_strict_generalization
+    def test_join_index_matches_rows_with_huge_codes(self):
+        # Value-identity partitioning can give codes near 2**31; a key
+        # combining several such columns must not overflow int64.
+        import numpy as np
 
-        probe = make_itemset([Item(0, 0, 3), Item(1, 1, 1)])
-        got = set(evaluator._specializations_of(probe))
-        want = {
-            other
-            for other in support_counts
-            if is_strict_generalization(probe, other)
-        }
-        assert got == want
+        from repro.core.interest import _RowIndex
+
+        rng = np.random.default_rng(3)
+        codes = np.array([0, 1, 2**31 - 2, 2**31 - 1], dtype=np.int64)
+        rows = codes[rng.integers(0, 4, size=(200, 4))]
+        queries = np.vstack(
+            [rows[:50], codes[rng.integers(0, 4, size=(50, 4))]]
+        )
+        index = _RowIndex([rows[:, c] for c in range(4)], len(rows))
+        start, stop = index.ranges(
+            [queries[:, c] for c in range(4)], len(queries)
+        )
+        for q, (lo, hi) in enumerate(zip(start, stop)):
+            want = np.flatnonzero((rows == queries[q]).all(axis=1))
+            assert list(index.order[lo:hi]) == list(want)
+
