@@ -30,7 +30,8 @@ rectangle":
     point-containment query.  Memory proportional to the number of
     candidates, CPU higher.
 ``direct``
-    Reference backend: one vectorized column scan per candidate.  Used for
+    Reference backend: a plain scan testing every candidate's rectangle
+    against every record, in blocks of candidates.  Used for
     cross-validation; asymptotically the worst of the three.
 ``bitmap``
     Packed-bitset backend: per attribute, a prefix-aggregated family of
@@ -50,7 +51,7 @@ rectangle":
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -62,6 +63,9 @@ from .mapper import TableMapper
 #: Prefer the array while its memory is within this factor of the
 #: R*-tree's estimate (Section 5.2's "ratio of the expected memory use").
 _ARRAY_OVER_RTREE_RATIO = 8.0
+
+#: Cells (candidates x records) one block of the direct scan tests at once.
+_DIRECT_BLOCK_CELLS = 1 << 22
 
 
 @dataclass
@@ -78,15 +82,20 @@ class SuperCandidate:
 
     def rectangles(self) -> tuple:
         """(lo, hi) integer arrays of shape (num_candidates, ndim)."""
-        lo = np.empty((len(self.candidates), self.ndim), dtype=np.int64)
-        hi = np.empty_like(lo)
-        for row, itemset in enumerate(self.candidates):
-            quant = [
-                item for item in itemset if item.attribute in self.quant_attrs
-            ]
-            for col, item in enumerate(quant):
-                lo[row, col] = item.lo
-                hi[row, col] = item.hi
+        num = len(self.candidates)
+        # Every candidate has the same length (same categorical items,
+        # same quantitative attributes): one flat pass over every
+        # (attribute, lo, hi) field, then the quantitative items of each
+        # row, in itemset order.
+        width = len(self.candidates[0]) if num else 0
+        fields = np.fromiter(
+            chain.from_iterable(chain.from_iterable(self.candidates)),
+            dtype=np.int64,
+            count=3 * width * num,
+        ).reshape(num, width, 3)
+        quant = np.isin(fields[:, :, 0], self.quant_attrs)
+        lo = fields[:, :, 1][quant].reshape(num, self.ndim)
+        hi = fields[:, :, 2][quant].reshape(num, self.ndim)
         return lo, hi
 
 
@@ -369,20 +378,30 @@ def _count_group_rtree(group, mapper, mask) -> list:
 
 
 def _count_group_direct(group, mapper, mask) -> list:
-    counts = []
-    for itemset in group.candidates:
-        m = mask.copy() if mask is not None else None
-        for item in itemset:
-            if item.attribute not in group.quant_attrs:
-                continue
-            col = mapper.column(item.attribute)
-            cond = (col >= item.lo) & (col <= item.hi)
-            m = cond if m is None else m & cond
-        if m is None:
-            counts.append(mapper.num_records)
-        else:
-            counts.append(int(m.sum()))
-    return counts
+    """Counts for one group by scanning its records, no index at all.
+
+    Every candidate's rectangle is tested against every matching
+    record's point; the scan runs over blocks of candidates so one
+    block's (candidates x records) membership table stays within
+    :data:`_DIRECT_BLOCK_CELLS`, and its cost scales with the records
+    a view holds rather than paying a fixed overhead per candidate.
+    """
+    lo, hi = group.rectangles()
+    columns = [mapper.column(a) for a in group.quant_attrs]
+    num_points = mapper.num_records
+    if mask is not None:
+        columns = [c[mask] for c in columns]
+        num_points = int(np.count_nonzero(mask))
+    counts = np.empty(len(lo), dtype=np.int64)
+    step = max(1, _DIRECT_BLOCK_CELLS // max(1, num_points))
+    for start in range(0, len(lo), step):
+        stop = min(start + step, len(lo))
+        inside = np.ones((stop - start, num_points), dtype=bool)
+        for dim, column in enumerate(columns):
+            inside &= column >= lo[start:stop, dim, None]
+            inside &= column <= hi[start:stop, dim, None]
+        counts[start:stop] = np.count_nonzero(inside, axis=1)
+    return counts.tolist()
 
 
 def _rtree_memory_estimate(num_candidates: int, ndim: int) -> int:
