@@ -3,39 +3,29 @@
 The paper counts a super-candidate's quantitative part either with a
 multi-dimensional array (cheap CPU, memory proportional to the product of
 attribute cardinalities) or an R*-tree (memory proportional to the number
-of candidates, higher CPU), choosing by expected memory.  This ablation
-times all backends (plus the heuristic ``auto``) on an identical pass-3
-workload and verifies they return identical supports.
+of candidates, higher CPU), and takes the R*-tree only when the array
+would not fit in memory.  The miner applies that rule through
+``memory_budget_bytes``: this ablation times both structures on an
+identical pass-3 workload — the array under the default budget, the
+R*-tree forced by a budget of 0 — and checks that their supports agree.
 
-Expected shape: array fastest at small scale, direct slowest per
-candidate, R*-tree in between on CPU while using candidate-proportional
-memory — and ``bitmap`` (packed per-interval bitsets, two word-level ops
-per range) overtaking ``auto`` as record counts grow, which the
-Figure-9-scale sweep below asserts at every paper scale point.
+Expected shape: the array far ahead on CPU, the R*-tree paying one
+pure-Python point query per record, which is why it is only the fallback
+for tables past the budget.
 """
-
-import json
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.core import MinerConfig
 from repro.core.apriori_quant import find_frequent_itemsets
 from repro.core.candidates import generate_candidates
-from repro.core.counting import count_itemsets
+from repro.core.counting import CountingStats, count_itemsets
 from repro.core.mapper import TableMapper
-from repro.engine import TableShard, shard_view
-from repro.experiments import DEFAULT_SIZES
 
 NUM_RECORDS = 4_000
-BACKENDS = ("array", "rtree", "direct", "bitmap", "auto")
 
-# Figure-9-scale sweep: bitmap vs. the auto heuristic at the paper's
-# record counts, on a fixed candidate workload.
-SCALE_REPS = 3
-SCALE_CANDIDATES = 300
-SNAPSHOT_PATH = Path(__file__).parent.parent / "BENCH_counting.json"
+#: Memory budgets that put every group of the workload on one structure.
+BUDGETS = {"array": MinerConfig().memory_budget_bytes, "rtree": 0}
 
 
 def _pass3_workload(table, max_candidates):
@@ -51,11 +41,11 @@ def _pass3_workload(table, max_candidates):
     support_counts, _ = find_frequent_itemsets(mapper, config)
     l2 = sorted(s for s in support_counts if len(s) == 2)
     candidates = generate_candidates(l2, 3)
-    # Keep the slow reference backends honest but affordable.
+    # Keep the R*-tree's pure-Python point queries affordable.
     candidates = candidates[:max_candidates]
     assert len(candidates) >= 100, (
         f"workload too thin ({len(candidates)} candidates); "
-        "the backend comparison would be noise"
+        "the structure comparison would be noise"
     )
     quantitative = {
         a
@@ -73,119 +63,30 @@ def workload(request):
     return _pass3_workload(table, max_candidates=600)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_counting_backend(benchmark, workload, reporter, backend):
+@pytest.mark.parametrize("structure", sorted(BUDGETS))
+def test_counting_structure(benchmark, workload, reporter, structure):
     mapper, candidates, quantitative = workload
+    budget = BUDGETS[structure]
     counts = benchmark(
-        count_itemsets, candidates, mapper, quantitative, backend
+        count_itemsets, candidates, mapper, quantitative, budget
     )
     reporter.line(
-        f"backend={backend}: counted {len(candidates)} candidates "
-        f"over {NUM_RECORDS} records"
+        f"structure={structure} (memory_budget_bytes={budget}): counted "
+        f"{len(candidates)} candidates over {NUM_RECORDS} records, "
+        f"best {benchmark.stats.stats.min:.4f}s"
     )
     reporter.record(
-        phase="backend_comparison",
-        backend=backend,
+        phase="structure_comparison",
+        structure=structure,
+        memory_budget_bytes=budget,
         seconds=benchmark.stats.stats.min,
         candidates=len(candidates),
         num_records=NUM_RECORDS,
     )
-    # Cross-validate against the array backend.
-    reference = count_itemsets(candidates, mapper, quantitative, "array")
+    # The budget put every spatial group on the named structure ...
+    stats = CountingStats()
+    count_itemsets(candidates, mapper, quantitative, budget, stats)
+    assert set(stats.groups_by_backend) - {"mask"} == {structure}
+    # ... and the structures agree on every support.
+    reference = count_itemsets(candidates, mapper, quantitative)
     assert counts == reference
-
-
-def _best_seconds(fn, reps=SCALE_REPS):
-    best = float("inf")
-    for _ in range(reps):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def test_bitmap_beats_auto_at_figure9_scale(credit_table_cache, reporter):
-    """Acceptance: bitmap < auto wall-clock at every Figure-9 size.
-
-    One credit table at the largest paper size, one fixed pass-3
-    candidate workload; each scale point counts over a prefix view of
-    the same mapper so every size shares identical interval codes.
-    Timings are warm (best of :data:`SCALE_REPS` after a verifying
-    warm-up call), matching how the engine amortizes the bitmap index
-    across level-wise passes.
-    """
-    table = credit_table_cache(DEFAULT_SIZES[-1])
-    mapper, candidates, quantitative = _pass3_workload(
-        table, max_candidates=SCALE_CANDIDATES
-    )
-
-    reporter.line(
-        f"\nFigure-9-scale counting sweep: {len(candidates)} candidates, "
-        f"best of {SCALE_REPS}"
-    )
-    reporter.row("records", "auto_s", "bitmap_s", "speedup")
-    snapshot_rows = []
-    for n in DEFAULT_SIZES:
-        if n == mapper.num_records:
-            view = mapper
-        else:
-            view = shard_view(mapper, TableShard(0, n))
-        seconds = {}
-        reference = None
-        for backend in ("auto", "bitmap"):
-            # Warm-up builds any per-view structures and checks output.
-            counts = count_itemsets(
-                candidates, view, quantitative, backend
-            )
-            if reference is None:
-                reference = counts
-            else:
-                assert counts == reference, (
-                    f"{backend} diverged from auto at {n} records"
-                )
-            seconds[backend] = _best_seconds(
-                lambda b=backend: count_itemsets(
-                    candidates, view, quantitative, b
-                )
-            )
-        speedup = seconds["auto"] / seconds["bitmap"]
-        reporter.row(
-            n,
-            f"{seconds['auto']:.4f}",
-            f"{seconds['bitmap']:.4f}",
-            f"{speedup:.2f}x",
-        )
-        for backend in ("auto", "bitmap"):
-            reporter.record(
-                phase="fig9_scaleup",
-                backend=backend,
-                num_records=n,
-                seconds=seconds[backend],
-                candidates=len(candidates),
-            )
-        snapshot_rows.append(
-            {
-                "num_records": n,
-                "auto_seconds": seconds["auto"],
-                "bitmap_seconds": seconds["bitmap"],
-                "speedup": speedup,
-            }
-        )
-        assert seconds["bitmap"] < seconds["auto"], (
-            f"bitmap slower than auto at {n} records: "
-            f"{seconds['bitmap']:.4f}s vs {seconds['auto']:.4f}s"
-        )
-
-    SNAPSHOT_PATH.write_text(
-        json.dumps(
-            {
-                "benchmark": "counting_structures",
-                "source": "benchmarks/bench_counting_structures.py",
-                "candidates": len(candidates),
-                "reps": SCALE_REPS,
-                "scale_points": snapshot_rows,
-            },
-            indent=2,
-        )
-        + "\n"
-    )

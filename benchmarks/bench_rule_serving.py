@@ -22,7 +22,7 @@ Two halves, matching the two halves of ``repro.rules``:
 Results land in ``benchmarks/results/rule_serving.json`` via the
 shared reporter, and the headline numbers snapshot to
 ``BENCH_rules.json`` at the repository root (same machine-readable
-shape as ``BENCH_counting.json``).
+shape as ``BENCH_incremental.json``).
 """
 
 import itertools

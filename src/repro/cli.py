@@ -116,13 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     mine.add_argument(
-        "--counting",
-        choices=("array", "rtree", "direct", "bitmap", "auto"),
-        default="array",
-        help="support-counting backend (Section 5.2; bitmap = packed "
-        "per-interval bitsets)",
-    )
-    mine.add_argument(
         "--partition-method",
         choices=("equidepth", "equiwidth", "equicardinality", "cluster"),
         default="equidepth",
@@ -486,7 +479,6 @@ def _run_mine(args) -> int:
             if args.interest_mode == "and"
             else "support_or_confidence"
         ),
-        counting=args.counting,
         target=args.target,
         partition_method=args.partition_method,
         max_itemset_size=args.max_itemset_size,

@@ -106,7 +106,6 @@ class PairPassStage(PipelineStage):
             a["mapper"],
             a["rangeable"],
             a["min_count"],
-            backend=config.counting,
             memory_budget_bytes=config.memory_budget_bytes,
             stats=a["counting_stats"],
             executor=context.executor,
@@ -213,7 +212,6 @@ class JoinPassStage(PipelineStage):
             candidates,
             a["mapper"],
             a["rangeable"],
-            backend=config.counting,
             memory_budget_bytes=config.memory_budget_bytes,
             stats=a["counting_stats"],
             executor=context.executor,

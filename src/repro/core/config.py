@@ -17,11 +17,6 @@ from dataclasses import dataclass, field
 SUPPORT_OR_CONFIDENCE = "support_or_confidence"
 SUPPORT_AND_CONFIDENCE = "support_and_confidence"
 
-#: Counting backends (Section 5.2).  ``auto`` applies the paper's memory
-#: heuristic per super-candidate, choosing between the multi-dimensional
-#: array and the R*-tree.
-COUNTING_BACKENDS = ("array", "rtree", "direct", "bitmap", "auto")
-
 #: Executor names understood by the execution engine.
 EXECUTORS = ("serial", "parallel", "remote")
 
@@ -55,13 +50,12 @@ FREQUENT_ITEMS_CONFIG_KEYS = PARTITIONING_CONFIG_KEYS + (
     "item_prune_interest_level",
 )
 
-#: Step 3b (level-wise counting) adds the search bound and the backend
-#: knobs.  The backend choice cannot change *output* (all backends are
-#: bit-identical), but it does change the recorded pass statistics, so
-#: it conservatively participates in the fingerprint.
+#: Step 3b (level-wise counting) adds the search bound and the memory
+#: budget.  The budget cannot change *output* (the array and the R*-tree
+#: count identically), but it does change the recorded structure tally,
+#: so it conservatively participates in the fingerprint.
 COUNTING_CONFIG_KEYS = FREQUENT_ITEMS_CONFIG_KEYS + (
     "max_itemset_size",
-    "counting",
     "memory_budget_bytes",
     "target",
 )
@@ -498,19 +492,15 @@ class MinerConfig:
     partition_method:
         ``"equidepth"`` (Lemma 4: optimal for partial completeness),
         ``"equiwidth"`` (kept for the skewed-data ablation of Section 7),
-        or ``"cluster"`` (1-D k-means; the paper's future-work
+        ``"equicardinality"`` (intervals holding equally many distinct
+        values), or ``"cluster"`` (1-D k-means; the paper's future-work
         exploration for skewed data).
-    counting:
-        Support-counting backend: ``"array"`` (multi-dimensional array with
-        prefix sums), ``"rtree"`` (R*-tree point queries), ``"direct"``
-        (per-candidate scans; reference), ``"bitmap"`` (packed per-interval
-        bitsets: ranges become two word-level operations plus a popcount),
-        or ``"auto"`` (paper's heuristic).
     memory_budget_bytes:
-        The ``auto`` backend refuses the array when its cells would exceed
-        this budget, falling back to the R*-tree (Section 5.2 trade-off);
-        ``bitmap`` likewise charges its prefix-bitset tables against the
-        same budget and over-budget groups fall back to the R*-tree.
+        Bytes one support-counting table may take (Section 5.2): a
+        super-candidate's multi-dimensional array, or a pass-2 attribute
+        pair's table, at 8 bytes a cell.  A table within the budget is
+        counted with the array, a table past it with the R*-tree.  Any
+        budget, 0 included, yields identical mining output.
     max_itemset_size:
         Optional cap on the number of items per itemset (``None`` = run
         until no candidates remain, as in the paper).
@@ -586,7 +576,6 @@ class MinerConfig:
     max_quantitative_in_rule: int | None = None
     num_partitions: object = None
     partition_method: str = "equidepth"
-    counting: str = "array"
     memory_budget_bytes: int = 256 * 1024 * 1024
     max_itemset_size: int | None = None
     apply_specialization_check: bool = True
@@ -701,11 +690,6 @@ class MinerConfig:
             raise ValueError(
                 f"unknown partition_method {self.partition_method!r}"
             )
-        if self.counting not in COUNTING_BACKENDS:
-            raise ValueError(
-                f"counting must be one of {COUNTING_BACKENDS}, "
-                f"got {self.counting!r}"
-            )
         if self.max_itemset_size is not None and self.max_itemset_size < 1:
             raise ValueError("max_itemset_size must be >= 1")
         if (
@@ -756,17 +740,21 @@ class MinerConfig:
         Unknown keys are rejected (a mistyped field in a job submission
         must fail loudly, not silently mine with defaults); nested
         blocks may be dicts (normalized by ``__post_init__``) and
-        taxonomies are rebuilt from their edge sets.
+        taxonomies are rebuilt from their edge sets.  A ``counting`` key,
+        written by versions that let the caller pick the counting
+        structure, is dropped: that choice never changed the output, so
+        stored job journals and result documents still load.
         """
         import dataclasses
 
+        kwargs = dict(data)
+        kwargs.pop("counting", None)
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise ValueError(
                 f"unknown MinerConfig field(s): {sorted(unknown)}"
             )
-        kwargs = dict(data)
         taxonomies = kwargs.get("taxonomies")
         if taxonomies is not None:
             from .taxonomy import Taxonomy

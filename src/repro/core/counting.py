@@ -11,13 +11,12 @@ its rectangle contains.
 Counting is *record-shardable*: every primitive here runs identically on
 the full table or on one :class:`~repro.engine.shards.TableShard`'s
 :class:`~repro.engine.shards.ShardView`, and per-shard counts are plain
-integers that sum to the exact global counts.  Backend resolution
-(``choose_backend``) happens once, against full-table cardinalities,
-before any fan-out, so the shard layout can never change which structure
-answers a group.
+integers that sum to the exact global counts.  The structure for each
+group is chosen once, against full-table cardinalities, before any
+fan-out, so the shard layout can never change which structure answers a
+group.
 
-Three interchangeable backends answer "how many points fall in each
-rectangle":
+Two structures answer "how many points fall in each rectangle":
 
 ``array``
     The paper's multi-dimensional array: a joint histogram over the
@@ -29,23 +28,13 @@ rectangle":
     The paper's R*-tree: rectangles are indexed, each record issues one
     point-containment query.  Memory proportional to the number of
     candidates, CPU higher.
-``direct``
-    Reference backend: a plain scan testing every candidate's rectangle
-    against every record, in blocks of candidates.  Used for
-    cross-validation; asymptotically the worst of the three.
-``bitmap``
-    Packed-bitset backend: per attribute, a prefix-aggregated family of
-    per-interval bitmaps (``np.uint64`` words via little-endian
-    ``np.packbits``) makes any ``<attr, lo, hi>`` range two word-level
-    operations (``prefix[hi + 1] & ~prefix[lo]``), so a super-candidate
-    is answered by ANDing a few bitmap rows and popcounting — no
-    per-group record scan once the index is built.  Estimated index
-    memory is charged against the budget; a group whose index would not
-    fit falls back to the R*-tree.
-``auto``
-    The paper's heuristic: per super-candidate, use the array when its
-    estimated memory stays within budget and is not vastly larger than the
-    R*-tree's, else fall back to the R*-tree.
+
+One rule picks between them (``choose_backend``): every counting table
+is charged against the memory budget at 8 bytes a cell.  A table within
+the budget is counted with the array, a table past it with the R*-tree.
+Pass 2 applies the rule per attribute pair: a pair whose table fits is
+answered as one cross product, a pair past the budget is counted as
+explicit super-candidates, each under the same rule.
 """
 
 from __future__ import annotations
@@ -60,12 +49,12 @@ from ..engine.shards import plan_shards
 from ..rtree import Rect, bulk_load
 from .mapper import TableMapper
 
-#: Prefer the array while its memory is within this factor of the
-#: R*-tree's estimate (Section 5.2's "ratio of the expected memory use").
-_ARRAY_OVER_RTREE_RATIO = 8.0
+#: Bytes a counting table is charged per cell (one int64 count).
+_CELL_BYTES = 8
 
-#: Cells (candidates x records) one block of the direct scan tests at once.
-_DIRECT_BLOCK_CELLS = 1 << 22
+#: Pseudo-backend for pure-categorical groups: the support is the
+#: categorical mask's population count, no spatial structure involved.
+MASK_BACKEND = "mask"
 
 
 @dataclass
@@ -208,147 +197,8 @@ class PrefixSumCounter:
         return counts
 
 
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def _popcount_rows(words: np.ndarray) -> np.ndarray:
-        """Population count along the last axis of packed uint64 words."""
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-else:  # pragma: no cover - numpy < 2 fallback
-    _POPCOUNT_LUT = np.array(
-        [bin(value).count("1") for value in range(256)], dtype=np.int64
-    )
-
-    def _popcount_rows(words: np.ndarray) -> np.ndarray:
-        """Population count along the last axis of packed uint64 words."""
-        as_bytes = np.ascontiguousarray(words).view(np.uint8)
-        return _POPCOUNT_LUT[as_bytes].sum(axis=-1, dtype=np.int64)
-
-
-class BitmapIndex:
-    """Prefix-aggregated per-interval bitsets over a view's coded columns.
-
-    For attribute ``a`` with cardinality ``c``, ``prefix(a)`` is a
-    ``(c + 1, num_words)`` uint64 matrix whose row ``v`` is the packed
-    bitmap of records with ``column(a) < v`` — so the bitmap of any
-    value range ``[lo, hi]`` is ``prefix[hi + 1] & ~prefix[lo]``, two
-    word-level operations regardless of the range width.  All rows carry
-    zero padding bits past ``num_records``, which keeps the complement's
-    set padding bits from ever surviving an AND with a real row.
-
-    Attribute tables build lazily on first use and the whole index is
-    cached on the view object (``view._bitmap_index``) when the view
-    accepts attributes, so a mapper reused across passes — or a shard
-    view reused across groups — pays each attribute's build cost once.
-    """
-
-    def __init__(self, view) -> None:
-        self._view = view
-        self._num_records = view.num_records
-        self._num_words = (self._num_records + 63) // 64
-        self._prefix: dict = {}
-
-    @classmethod
-    def for_view(cls, view) -> "BitmapIndex":
-        """The view's cached index, building (and caching) it if absent."""
-        index = getattr(view, "_bitmap_index", None)
-        if index is None:
-            index = cls(view)
-            try:
-                view._bitmap_index = index
-            except AttributeError:  # slots-only view: per-call index
-                pass
-        return index
-
-    @property
-    def num_records(self) -> int:
-        return self._num_records
-
-    def nbytes(self) -> int:
-        """Bytes held by the attribute tables built so far."""
-        return sum(table.nbytes for table in self._prefix.values())
-
-    def prefix(self, attribute: int) -> np.ndarray:
-        """The prefix-bitmap table for one attribute (built lazily)."""
-        table = self._prefix.get(attribute)
-        if table is None:
-            table = self._build_prefix(attribute)
-            self._prefix[attribute] = table
-        return table
-
-    def _build_prefix(self, attribute: int) -> np.ndarray:
-        column = self._view.column(attribute)
-        cardinality = self._view.cardinality(attribute)
-        # One-hot rows -> little-endian packed bytes -> OR-accumulate
-        # down the value axis; a zero row on top gives prefix[0] = {}.
-        onehot = column == np.arange(cardinality, dtype=np.int64)[:, None]
-        packed = np.packbits(onehot, axis=1, bitorder="little")
-        rows = np.zeros(
-            (cardinality + 1, self._num_words * 8), dtype=np.uint8
-        )
-        if packed.size:
-            np.bitwise_or.accumulate(
-                packed, axis=0, out=rows[1:, : packed.shape[1]]
-            )
-        return rows.view(np.uint64)
-
-    def range_words(self, attribute: int, lo: int, hi: int) -> np.ndarray:
-        """Packed bitmap of records with ``lo <= column(attribute) <= hi``."""
-        table = self.prefix(attribute)
-        return table[hi + 1] & ~table[lo]
-
-    def conjunction_words(self, items) -> np.ndarray | None:
-        """AND of the items' bitmaps; ``None`` for an empty conjunction."""
-        words = None
-        for item in items:
-            row = self.range_words(item.attribute, item.lo, item.hi)
-            words = row if words is None else words & row
-        return words
-
-
-def _bitmap_memory_estimate(group, mapper) -> int:
-    """Estimated bytes of the bitmap index the group would touch.
-
-    Counts the persistent prefix tables of every attribute the group
-    reads — quantitative dimensions and categorical conjuncts alike:
-    ``(cardinality + 1)`` rows of ``ceil(records / 64)`` uint64 words.
-    """
-    num_words = (mapper.num_records + 63) // 64
-    attributes = set(group.quant_attrs)
-    attributes.update(item.attribute for item in group.categorical_items)
-    return sum(
-        (mapper.cardinality(a) + 1) * num_words * 8 for a in attributes
-    )
-
-
-def _count_group_bitmap(group, index: BitmapIndex) -> list:
-    """Counts for one group via the bitmap index: AND rows, popcount.
-
-    Gathers each dimension's ``(m, num_words)`` range bitmaps with one
-    fancy index per quantitative attribute, ANDs them together with the
-    categorical conjunction's bitmap, and popcounts each candidate's
-    row — a handful of vectorized word-level passes however many
-    candidates the group holds.
-    """
-    base = index.conjunction_words(group.categorical_items)
-    lo, hi = group.rectangles()
-    acc = None
-    for dim, attribute in enumerate(group.quant_attrs):
-        table = index.prefix(attribute)
-        rows = table[hi[:, dim] + 1] & ~table[lo[:, dim]]
-        if acc is None:
-            acc = rows if base is None else rows & base
-        else:
-            acc &= rows
-    if acc is None:  # pure-categorical group (normally mask-counted)
-        if base is None:
-            return [index.num_records] * len(group.candidates)
-        return [int(_popcount_rows(base))] * len(group.candidates)
-    return _popcount_rows(acc).tolist()
-
-
 # ----------------------------------------------------------------------
-# Per-group backends
+# Per-group structures
 # ----------------------------------------------------------------------
 def _count_group_array(group, mapper, mask) -> list:
     counter = PrefixSumCounter(mapper, group.quant_attrs, mask)
@@ -377,99 +227,38 @@ def _count_group_rtree(group, mapper, mask) -> list:
     return counts
 
 
-def _count_group_direct(group, mapper, mask) -> list:
-    """Counts for one group by scanning its records, no index at all.
+def _table_bytes(view, attrs) -> int:
+    """Bytes of a counting table over ``attrs``: one cell per value tuple.
 
-    Every candidate's rectangle is tested against every matching
-    record's point; the scan runs over blocks of candidates so one
-    block's (candidates x records) membership table stays within
-    :data:`_DIRECT_BLOCK_CELLS`, and its cost scales with the records
-    a view holds rather than paying a fixed overhead per candidate.
+    Reads full-table cardinalities only, so a shard of the table is
+    charged exactly what the whole table is.
     """
-    lo, hi = group.rectangles()
-    columns = [mapper.column(a) for a in group.quant_attrs]
-    num_points = mapper.num_records
-    if mask is not None:
-        columns = [c[mask] for c in columns]
-        num_points = int(np.count_nonzero(mask))
-    counts = np.empty(len(lo), dtype=np.int64)
-    step = max(1, _DIRECT_BLOCK_CELLS // max(1, num_points))
-    for start in range(0, len(lo), step):
-        stop = min(start + step, len(lo))
-        inside = np.ones((stop - start, num_points), dtype=bool)
-        for dim, column in enumerate(columns):
-            inside &= column >= lo[start:stop, dim, None]
-            inside &= column <= hi[start:stop, dim, None]
-        counts[start:stop] = np.count_nonzero(inside, axis=1)
-    return counts.tolist()
-
-
-def _rtree_memory_estimate(num_candidates: int, ndim: int) -> int:
-    return num_candidates * (2 * ndim * 16 + 64) + 64
+    cells = 1
+    for attribute in attrs:
+        cells *= view.cardinality(attribute)
+    return cells * _CELL_BYTES
 
 
 def choose_backend(
-    group: SuperCandidate,
-    mapper: TableMapper,
-    requested: str,
-    memory_budget_bytes: int,
+    group: SuperCandidate, view, memory_budget_bytes: int
 ) -> str:
-    """Resolve the backend for one super-candidate group.
+    """The structure that counts one super-candidate group.
 
-    ``auto`` applies the paper's heuristic: the array wins on CPU, so use
-    it unless its cell memory blows past the budget or dwarfs the
-    R*-tree's estimated footprint.  A requested ``bitmap`` is likewise
-    charged for its index memory — a group whose prefix tables would
-    blow the budget (e.g. an unpartitioned attribute whose cardinality
-    approaches the record count) falls back to the R*-tree, which is
-    bounded by the candidate count instead.
+    A pure-categorical group needs none (``"mask"``).  Otherwise the
+    group's array is charged against the budget: within it the array
+    counts the group, past it the R*-tree (Section 5.2).
     """
-    if requested == "bitmap":
-        if _bitmap_memory_estimate(group, mapper) > memory_budget_bytes:
-            return "rtree"
-        return "bitmap"
-    if requested != "auto":
-        return requested
     if group.ndim == 0:
-        return "array"  # degenerate; no structure needed either way
-    cells = 1
-    for a in group.quant_attrs:
-        cells *= mapper.cardinality(a)
-    array_bytes = cells * 8
-    rtree_bytes = _rtree_memory_estimate(len(group.candidates), group.ndim)
-    if array_bytes > memory_budget_bytes:
-        return "rtree"
-    if array_bytes > _ARRAY_OVER_RTREE_RATIO * max(rtree_bytes, 4096):
-        return "rtree"
-    return "array"
+        return MASK_BACKEND
+    if _table_bytes(view, group.quant_attrs) <= memory_budget_bytes:
+        return "array"
+    return "rtree"
 
 
 _GROUP_BACKENDS = {
     "array": _count_group_array,
     "rtree": _count_group_rtree,
-    "direct": _count_group_direct,
 }
-
-#: Pseudo-backend for pure-categorical groups: the support is the
-#: categorical mask's population count, no spatial structure involved.
-MASK_BACKEND = "mask"
-
-
-def resolve_group_backends(
-    groups, view, backend: str, memory_budget_bytes: int
-) -> list:
-    """Pin one backend per super-candidate group, up front.
-
-    Resolution reads full-table cardinalities only, so it is computed
-    once before any shard fan-out and shipped to workers — the shard
-    layout can never flip the ``auto`` heuristic's choice.
-    """
-    return [
-        MASK_BACKEND
-        if group.ndim == 0
-        else choose_backend(group, view, backend, memory_budget_bytes)
-        for group in groups
-    ]
 
 
 def count_groups(groups, backends, view) -> list:
@@ -477,20 +266,11 @@ def count_groups(groups, backends, view) -> list:
 
     ``view`` is the full table or one shard; the result is a list (per
     group) of lists (per candidate) of integer counts, merge-ready by
-    elementwise addition.  ``bitmap`` groups share one
-    :class:`BitmapIndex` per call (cached on the view when possible) and
-    express their categorical conjunction as bitmap ANDs, so they skip
-    the per-group boolean mask entirely.
+    elementwise addition.  ``backends`` holds each group's
+    :func:`choose_backend` verdict.
     """
     out = []
-    bitmap_index = None
     for group, resolved in zip(groups, backends):
-        if resolved == "bitmap":
-            if bitmap_index is None:
-                bitmap_index = BitmapIndex.for_view(view)
-            counts = _count_group_bitmap(group, bitmap_index)
-            out.append([int(c) for c in counts])
-            continue
         mask = categorical_mask(view, group.categorical_items)
         if resolved == MASK_BACKEND:
             population = (
@@ -498,8 +278,7 @@ def count_groups(groups, backends, view) -> list:
             )
             out.append([population] * len(group.candidates))
         else:
-            counts = _GROUP_BACKENDS[resolved](group, view, mask)
-            out.append([int(c) for c in counts])
+            out.append(_GROUP_BACKENDS[resolved](group, view, mask))
     return out
 
 
@@ -522,13 +301,11 @@ def _merge_group_counts(per_shard: list) -> list:
 
 @dataclass
 class CountingStats:
-    """Backend usage tally across super-candidate groups.
+    """Structure usage tally across super-candidate groups.
 
-    Keys are resolved backend names — ``"array"``, ``"rtree"``,
-    ``"direct"``, ``"bitmap"`` or the pure-categorical ``"mask"``
-    pseudo-backend — so an explicit request that partially fell back
-    (e.g. ``bitmap`` groups over budget landing on ``rtree``) is visible
-    in the tally.
+    Keys are ``"array"``, ``"rtree"`` or the pure-categorical ``"mask"``
+    pseudo-backend, so groups whose array did not fit the memory budget
+    show up as ``rtree``.
     """
 
     groups_by_backend: dict = field(default_factory=dict)
@@ -543,7 +320,6 @@ def count_itemsets(
     candidates,
     mapper: TableMapper,
     quantitative: set,
-    backend: str = "array",
     memory_budget_bytes: int = 256 * 1024 * 1024,
     stats: CountingStats | None = None,
     *,
@@ -557,11 +333,12 @@ def count_itemsets(
 ) -> dict:
     """Support counts for explicit candidate itemsets.
 
-    Groups the candidates into super-candidates, resolves a backend per
-    group and returns ``{itemset: absolute support count}``.  With an
-    ``executor``/``shards`` pair the counting fans out per record shard
-    and the per-shard counts are summed — bit-identical to the direct
-    path for any shard layout.  ``tracer``/``span_parent``/``metrics``
+    Groups the candidates into super-candidates, picks each group's
+    structure with :func:`choose_backend` and returns
+    ``{itemset: absolute support count}``.  With an ``executor``/``shards``
+    pair the counting fans out per record shard and the per-shard counts
+    are summed — bit-identical to the unsharded path for any shard
+    layout.  ``tracer``/``span_parent``/``metrics``
     ride through to :func:`~repro.engine.sharded.sharded_map` so the
     fan-out shows up as ``shard_task`` spans under the calling stage.
     """
@@ -569,9 +346,9 @@ def count_itemsets(
     groups = group_candidates(candidates, quantitative)
     if not groups:
         return counts
-    backends = resolve_group_backends(
-        groups, mapper, backend, memory_budget_bytes
-    )
+    backends = [
+        choose_backend(group, mapper, memory_budget_bytes) for group in groups
+    ]
     if executor is None and shards is None:
         per_group = count_groups(groups, backends, mapper)
     else:
@@ -691,7 +468,7 @@ class _CatQuantPlan:
 
 @dataclass
 class _ExplicitPlan:
-    """rtree/direct/bitmap path: the pair's candidates counted per group."""
+    """A pair whose table is past the budget: its candidates, per group."""
 
     groups: list
     backends: list
@@ -714,11 +491,16 @@ def build_pair_plans(
     item_buckets: dict,
     mapper: TableMapper,
     quantitative: set,
-    backend: str = "array",
     memory_budget_bytes: int = 256 * 1024 * 1024,
     pair_filter=None,
 ):
     """One plan per attribute pair, plus the pass-2 candidate tally.
+
+    A pair's table is charged against ``memory_budget_bytes`` like any
+    super-candidate's array: the joint histogram for two categorical or
+    two quantitative attributes, the quantitative attribute's array for
+    a mixed pair.  A pair past the budget becomes an :class:`_ExplicitPlan`
+    whose groups each get :func:`choose_backend`'s verdict.
 
     ``pair_filter``, when given, is a predicate over an attribute pair
     ``(a, b)`` with ``a < b``; pairs it rejects contribute no plan and no
@@ -734,20 +516,20 @@ def build_pair_plans(
                 continue
             items_a, items_b = item_buckets[a], item_buckets[b]
             num_candidates += len(items_a) * len(items_b)
-            if backend in ("rtree", "direct", "bitmap"):
+            a_quant, b_quant = a in quantitative, b in quantitative
+            if a_quant == b_quant:
+                table_attrs = (a, b)
+            else:
+                table_attrs = (a,) if a_quant else (b,)
+            if _table_bytes(mapper, table_attrs) > memory_budget_bytes:
                 explicit = [(ia, ib) for ia in items_a for ib in items_b]
                 groups = group_candidates(explicit, quantitative)
-                plans.append(
-                    _ExplicitPlan(
-                        groups,
-                        resolve_group_backends(
-                            groups, mapper, backend, memory_budget_bytes
-                        ),
-                    )
-                )
-                continue
-            a_quant, b_quant = a in quantitative, b in quantitative
-            if a_quant and b_quant:
+                backends = [
+                    choose_backend(group, mapper, memory_budget_bytes)
+                    for group in groups
+                ]
+                plans.append(_ExplicitPlan(groups, backends))
+            elif a_quant and b_quant:
                 plans.append(
                     _QuantQuantPlan((a, b), list(items_a), list(items_b))
                 )
@@ -784,7 +566,6 @@ def count_frequent_pairs(
     mapper: TableMapper,
     quantitative: set,
     min_count: float,
-    backend: str = "array",
     memory_budget_bytes: int = 256 * 1024 * 1024,
     stats: CountingStats | None = None,
     *,
@@ -801,11 +582,11 @@ def count_frequent_pairs(
 
     The pass-2 candidate set is the cross product of frequent items over
     every attribute pair, which can be orders of magnitude larger than the
-    surviving L_2.  The ``array`` path answers whole cross products with
-    outer-indexed inclusion–exclusion and materializes only the frequent
-    pairs; ``rtree``/``direct``/``bitmap`` materialize each group's
-    candidates (they remain available for validation and the counting
-    ablation, and the bitmap index amortizes the materialized groups).
+    surviving L_2.  A pair whose table fits the memory budget is answered
+    as a whole cross product, by outer-indexed inclusion–exclusion or a
+    joint histogram, and only its frequent pairs are materialized; a pair
+    past the budget materializes its candidates as super-candidate groups
+    (see :func:`build_pair_plans`).
 
     With an ``executor``/``shards`` pair, each shard computes raw counts
     for every plan, the per-shard counts are summed, and the minimum-count
@@ -817,7 +598,6 @@ def count_frequent_pairs(
         item_buckets,
         mapper,
         quantitative,
-        backend,
         memory_budget_bytes,
         pair_filter=pair_filter,
     )

@@ -468,29 +468,6 @@ class InterestEvaluator:
         first[pairs] = test_diff[failed[at]]
         return first, d_lo, d_hi
 
-    # ------------------------------------------------------------------
-    # Rule-level interest
-    # ------------------------------------------------------------------
-    def rule_r_interesting(
-        self, rule: QuantitativeRule, ancestor: QuantitativeRule
-    ) -> bool:
-        """R-interest of one rule w.r.t. one ancestor rule."""
-        r = self._config.effective_interest_level
-        self.stats.deviation_tests += 1
-        expected_sup = self.expected_support(rule.itemset, ancestor.itemset)
-        sup_ok = beats_expectation(rule.support, expected_sup, r)
-        expected_conf = self.expected_confidence(rule, ancestor)
-        conf_ok = beats_expectation(rule.confidence, expected_conf, r)
-        if self._config.interest_mode == SUPPORT_AND_CONFIDENCE:
-            deviation_ok = sup_ok and conf_ok
-        else:
-            deviation_ok = sup_ok or conf_ok
-        if not deviation_ok:
-            return False
-        if not self._config.apply_specialization_check:
-            return True
-        return self.specialization_condition(rule.itemset, ancestor.itemset)
-
     def filter_rules(
         self,
         rules,

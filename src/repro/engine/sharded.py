@@ -118,8 +118,7 @@ def plan_task_views(executor, view, shards, metrics=None):
     publish (i.e. one with a table fingerprint); anything else takes the
     copying path, and a single shard covering the whole table passes the
     view through untouched (the in-process short-circuit never pickles
-    it, and reusing the caller's object lets per-view caches such as the
-    bitmap counting index survive across passes).
+    it).
     """
     shards = tuple(shards)
     store = executor.column_store() if executor is not None else None

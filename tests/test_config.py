@@ -52,7 +52,9 @@ class TestValidation:
             MinerConfig(partition_method="kmeans")
 
     def test_unknown_counting_backend_rejected(self):
-        with pytest.raises(ValueError, match="counting"):
+        # The counting structure follows the memory budget; there is no
+        # backend to pick, so the keyword itself is rejected.
+        with pytest.raises(TypeError, match="counting"):
             MinerConfig(counting="gpu")
 
     def test_max_itemset_size_validated(self):
@@ -230,7 +232,7 @@ class TestDictContract:
             partial_completeness=2.0,
             interest_level=1.1,
             interest_mode=SUPPORT_AND_CONFIDENCE,
-            counting="rtree",
+            memory_budget_bytes=0,
             num_partitions={"age": 7},
             taxonomies={
                 "item": Taxonomy(

@@ -5,8 +5,6 @@ import pytest
 
 from repro.core import Item, MinerConfig, TableMapper, make_itemset
 from repro.core.counting import (
-    BitmapIndex,
-    _popcount_rows,
     CountingStats,
     PrefixSumCounter,
     categorical_mask,
@@ -45,6 +43,11 @@ def brute_support(mapper, itemset):
         col = mapper.column(item.attribute)
         mask &= (col >= item.lo) & (col <= item.hi)
     return int(mask.sum())
+
+
+#: Budgets that force each structure on the fixture: the default fits
+#: every array, 0 fits none (R*-tree everywhere).
+BUDGETS = {"array": MinerConfig().memory_budget_bytes, "rtree": 0}
 
 
 def sample_candidates(mapper):
@@ -119,128 +122,57 @@ class TestPrefixSumCounter:
                 assert cross[i, j] == expected
 
 
-class TestBitmapIndex:
-    def test_range_words_match_brute_force(self, mapper):
-        index = BitmapIndex.for_view(mapper)
-        for attr, lo, hi in [(0, 0, 7), (0, 2, 5), (1, 3, 3), (2, 1, 1)]:
-            words = index.range_words(attr, lo, hi)
-            count = int(_popcount_rows(words))
-            expected = brute_support(mapper, (Item(attr, lo, hi),))
-            assert count == expected
-            # Padding bits past num_records must stay zero, or
-            # complements would leak phantom records into counts.
-            tail = mapper.num_records % 64
-            if tail:
-                assert int(words[-1]) >> tail == 0
-
-    def test_index_cached_on_view(self, mapper):
-        assert BitmapIndex.for_view(mapper) is BitmapIndex.for_view(mapper)
-
-    def test_empty_view(self):
-        from repro.engine.shards import ShardView
-
-        empty = ShardView([np.empty(0, np.int64)] * 2, [8, 8], 0)
-        index = BitmapIndex.for_view(empty)
-        assert index.range_words(0, 0, 7).size == 0
-
-    def test_word_boundary_record_counts(self):
-        # 64 and 65 records exercise the exact-word and spill-over cases.
-        for n in (63, 64, 65, 128):
-            values = np.arange(n, dtype=float) % 4
-            schema = TableSchema([quantitative("v")])
-            table = RelationalTable.from_columns(schema, [values])
-            view = TableMapper(
-                table,
-                MinerConfig(min_support=0.1, num_partitions={"v": 4}),
-            )
-            index = BitmapIndex.for_view(view)
-            for lo, hi in [(0, 3), (1, 2), (3, 3)]:
-                count = int(
-                    _popcount_rows(index.range_words(0, lo, hi))
-                )
-                assert count == brute_support(view, (Item(0, lo, hi),))
-
-
 class TestCountItemsets:
-    @pytest.mark.parametrize(
-        "backend", ["array", "rtree", "direct", "bitmap"]
-    )
+    @pytest.mark.parametrize("backend", ["array", "rtree"])
     def test_backends_match_brute_force(self, mapper, backend):
         candidates = sample_candidates(mapper)
-        counts = count_itemsets(candidates, mapper, {0, 1}, backend)
+        stats = CountingStats()
+        counts = count_itemsets(
+            candidates, mapper, {0, 1}, BUDGETS[backend], stats=stats
+        )
+        assert set(stats.groups_by_backend) == {backend, "mask"}
         assert set(counts) == set(candidates)
         for itemset, count in counts.items():
             assert count == brute_support(mapper, itemset)
 
     def test_backends_agree_with_each_other(self, mapper):
         candidates = sample_candidates(mapper)
-        results = [
-            count_itemsets(candidates, mapper, {0, 1}, b)
-            for b in ("array", "rtree", "direct", "bitmap", "auto")
-        ]
-        for other in results[1:]:
-            assert other == results[0]
+        array, rtree = (
+            count_itemsets(candidates, mapper, {0, 1}, BUDGETS[b])
+            for b in ("array", "rtree")
+        )
+        assert rtree == array
+        assert list(rtree) == list(array)
 
     def test_stats_record_backends(self, mapper):
         stats = CountingStats()
-        count_itemsets(
-            sample_candidates(mapper), mapper, {0, 1}, "array", stats=stats
-        )
+        count_itemsets(sample_candidates(mapper), mapper, {0, 1}, stats=stats)
         assert stats.groups_by_backend.get("array", 0) > 0
         # The pure-categorical candidate is counted via the mask.
         assert stats.groups_by_backend.get("mask", 0) == 1
 
 
 class TestChooseBackend:
-    def test_explicit_choice_respected(self, mapper):
-        groups = group_candidates(
+    # Two 8-value attributes: a 64-cell array, 512 bytes at 8 a cell.
+    def _group(self):
+        (group,) = group_candidates(
             [make_itemset([Item(0, 0, 1), Item(1, 0, 1)])], {0, 1}
         )
-        assert choose_backend(groups[0], mapper, "rtree", 1 << 30) == "rtree"
+        return group
 
     def test_auto_prefers_array_when_cheap(self, mapper):
-        groups = group_candidates(
-            [make_itemset([Item(0, 0, 1), Item(1, 0, 1)])], {0, 1}
-        )
-        assert choose_backend(groups[0], mapper, "auto", 1 << 30) == "array"
+        assert choose_backend(self._group(), mapper, 1 << 30) == "array"
+        # The budget is inclusive: a table exactly at it still fits.
+        assert choose_backend(self._group(), mapper, 512) == "array"
 
     def test_auto_falls_back_when_over_budget(self, mapper):
-        groups = group_candidates(
-            [make_itemset([Item(0, 0, 1), Item(1, 0, 1)])], {0, 1}
-        )
-        assert choose_backend(groups[0], mapper, "auto", 16) == "rtree"
+        assert choose_backend(self._group(), mapper, 511) == "rtree"
+        assert choose_backend(self._group(), mapper, 0) == "rtree"
 
-    def test_bitmap_respected_within_budget(self, mapper):
-        groups = group_candidates(
-            [make_itemset([Item(0, 0, 1), Item(1, 0, 1)])], {0, 1}
-        )
-        assert (
-            choose_backend(groups[0], mapper, "bitmap", 1 << 30) == "bitmap"
-        )
-
-    def test_bitmap_falls_back_when_over_budget(self, mapper):
-        # Prefix tables for two 8-value attributes over 600 records need
-        # a few KiB; a 16-byte budget must reject them.
-        groups = group_candidates(
-            [make_itemset([Item(0, 0, 1), Item(1, 0, 1)])], {0, 1}
-        )
-        assert choose_backend(groups[0], mapper, "bitmap", 16) == "rtree"
-
-    def test_bitmap_fallback_stays_exact(self, mapper):
-        candidates = sample_candidates(mapper)
-        tight = count_itemsets(
-            candidates, mapper, {0, 1}, "bitmap", memory_budget_bytes=16
-        )
-        roomy = count_itemsets(candidates, mapper, {0, 1}, "bitmap")
-        assert tight == roomy
-
-    def test_bitmap_recorded_in_stats(self, mapper):
-        stats = CountingStats()
-        count_itemsets(
-            sample_candidates(mapper), mapper, {0, 1}, "bitmap", stats=stats
-        )
-        assert stats.groups_by_backend.get("bitmap", 0) > 0
-        assert stats.groups_by_backend.get("mask", 0) == 1
+    def test_pure_categorical_group_needs_no_structure(self, mapper):
+        (group,) = group_candidates([make_itemset([Item(2, 0, 0)])], {0, 1})
+        assert choose_backend(group, mapper, 0) == "mask"
+        assert choose_backend(group, mapper, 1 << 30) == "mask"
 
 
 class TestCountFrequentPairs:
@@ -274,18 +206,45 @@ class TestCountFrequentPairs:
         assert num_candidates == expected_candidates
         assert fast == slow
 
-    @pytest.mark.parametrize("backend", ["rtree", "bitmap"])
+    @pytest.mark.parametrize("backend", ["rtree"])
     def test_explicit_backends_agree(self, mapper, backend):
+        """Budget 0 sends every pair through explicit groups on the
+        R*-tree; frequent pairs, their order and the candidate tally
+        match the cross-product tables'."""
         from repro.core.candidates import pairs_by_attribute
 
         freq = self._frequent_items(mapper)
         buckets = pairs_by_attribute(freq.supports)
         min_count = 0.1 * mapper.num_records
-        fast, __ = count_frequent_pairs(buckets, mapper, {0, 1}, min_count)
-        slow, __ = count_frequent_pairs(
-            buckets, mapper, {0, 1}, min_count, backend=backend
+        fast, fast_n = count_frequent_pairs(buckets, mapper, {0, 1}, min_count)
+        stats = CountingStats()
+        slow, slow_n = count_frequent_pairs(
+            buckets, mapper, {0, 1}, min_count, BUDGETS[backend], stats
         )
         assert fast == slow
+        assert list(fast) == list(slow)
+        assert fast_n == slow_n
+        assert "array" not in stats.groups_by_backend
+
+    def test_pair_past_budget_counted_explicitly(self, mapper):
+        """Each pair's table is charged on its own: with room for the
+        8-cell arrays but not the 64-cell joint tables, the mixed pairs
+        stay cross products while the (x, y) pair goes explicit."""
+        from repro.core.candidates import pairs_by_attribute
+        from repro.core.counting import _ExplicitPlan, build_pair_plans
+
+        buckets = pairs_by_attribute(self._frequent_items(mapper).supports)
+        plans, __ = build_pair_plans(buckets, mapper, {0, 1}, 8 * 8)
+        explicit = [isinstance(plan, _ExplicitPlan) for plan in plans]
+        assert explicit == [True, False, False]
+        stats = CountingStats()
+        min_count = 0.05 * mapper.num_records
+        mixed, __ = count_frequent_pairs(
+            buckets, mapper, {0, 1}, min_count, 8 * 8, stats
+        )
+        roomy, __ = count_frequent_pairs(buckets, mapper, {0, 1}, min_count)
+        assert list(mixed.items()) == list(roomy.items())
+        assert {"array", "rtree"} <= set(stats.groups_by_backend)
 
     def test_categorical_mask_none_for_empty(self, mapper):
         assert categorical_mask(mapper, ()) is None
@@ -293,3 +252,36 @@ class TestCountFrequentPairs:
     def test_categorical_mask_selects_records(self, mapper):
         mask = categorical_mask(mapper, (Item(2, 1, 1),))
         np.testing.assert_array_equal(mask, mapper.column(2) == 1)
+
+
+class TestMemoryBudget:
+    def test_wide_categorical_pair_counts_within_budget(self):
+        """Two 6,000-value categorical columns, one value frequent in
+        each: their joint histogram would be 36M cells (288 MB), past
+        the default budget, so pass 2 counts the pair's one candidate
+        explicitly instead of allocating it."""
+        import tracemalloc
+
+        from repro.core import QuantitativeMiner
+
+        values = tuple(f"v{i}" for i in range(6000))
+        n = 12_000
+        rare = np.arange(n) % 5999 + 1
+        frequent = np.arange(n) < n // 2
+        a = np.where(frequent, 0, rare)
+        b = np.where(frequent, 0, rare[::-1])
+        schema = TableSchema([categorical("a", values), categorical("b", values)])
+        table = RelationalTable.from_columns(schema, [a, b])
+
+        tracemalloc.start()
+        try:
+            result = QuantitativeMiner(table, MinerConfig()).mine()
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        assert peak < 32 * 1024 * 1024, f"peak {peak / 2**20:.1f} MiB"
+        assert len(result.support_counts) == 3
+        for itemset, count in result.support_counts.items():
+            assert count == brute_support(result.mapper, itemset)
+        assert result.stats.counting_groups_by_backend == {"mask": 1}

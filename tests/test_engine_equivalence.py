@@ -2,19 +2,20 @@
 
 The engine's core guarantee is that executors and shard layouts are
 purely operational — per-shard integer support counts merge by addition,
-backends are resolved once against full-table cardinalities, and pass-2
-thresholding happens once on the merged global counts.  So for *any*
+counting structures are chosen once against full-table cardinalities,
+and pass-2 thresholding happens once on the merged global counts.  So for *any*
 table, *any* shard size, and *any* executor, the mining result must be
 bit-identical to the serial single-shard reference: same
 ``support_counts`` (values *and* dict insertion order), same ``rules``,
 same ``interesting_rules``.
 
 One randomized property drives serial vs. fine-grained shards vs. a
-two-worker process pool across all four counting backends — under a
-parallel executor the shard views additionally travel as zero-copy
-shared-memory descriptors — and across the artifact-cache backends
-(each run gets a private cache, so a hit can only come from the run's
-own stages).
+two-worker process pool under both counting structures — the default
+memory budget (the array everywhere) and budget 0 (the R*-tree
+everywhere, pass 2 through explicit groups) — and under a parallel
+executor the shard views additionally travel as zero-copy shared-memory
+descriptors; runs also span the artifact-cache backends (each run gets
+a private cache, so a hit can only come from the run's own stages).
 """
 
 import tempfile
@@ -52,9 +53,12 @@ def build_table(x_values, y_values, c_values):
 
 draws = st.lists(st.integers(0, 9), min_size=30, max_size=80)
 
+#: The default budget (the array everywhere) and budget 0 (the R*-tree).
+budgets = st.sampled_from([MinerConfig().memory_budget_bytes, 0])
+
 
 def mine_with(
-    table, backend, minsup, execution, cache_backend="none", target=None
+    table, budget, minsup, execution, cache_backend="none", target=None
 ):
     def build_config(cache):
         return MinerConfig(
@@ -62,7 +66,7 @@ def mine_with(
             min_confidence=0.3,
             max_support=0.6,
             partial_completeness=3.0,
-            counting=backend,
+            memory_budget_bytes=budget,
             interest_level=1.1,
             target=target,
             execution=execution,
@@ -85,19 +89,19 @@ class TestExecutionEquivalence:
         draws,
         draws,
         st.floats(0.15, 0.4),
-        st.sampled_from(["array", "rtree", "direct", "bitmap"]),
+        budgets,
         st.integers(1, 25),
         st.sampled_from(["none", "memory", "disk"]),
     )
     @settings(max_examples=8, deadline=None)
     def test_execution_strategy_is_invisible(
-        self, xs, ys, cs, minsup, backend, shard_size, cache_backend
+        self, xs, ys, cs, minsup, budget, shard_size, cache_backend
     ):
         n = min(len(xs), len(ys), len(cs))
         table = build_table(xs[:n], ys[:n], cs[:n])
 
         reference = mine_with(
-            table, backend, minsup, ExecutionConfig()
+            table, budget, minsup, ExecutionConfig()
         )
         variants = {
             "sharded-serial": ExecutionConfig(shard_size=shard_size),
@@ -110,7 +114,7 @@ class TestExecutionEquivalence:
         }
         for label, execution in variants.items():
             result = mine_with(
-                table, backend, minsup, execution, cache_backend
+                table, budget, minsup, execution, cache_backend
             )
             assert result.support_counts == reference.support_counts, label
             assert list(result.support_counts) == list(
@@ -126,7 +130,7 @@ class TestExecutionEquivalence:
         draws,
         draws,
         st.floats(0.15, 0.4),
-        st.sampled_from(["array", "rtree", "direct", "bitmap"]),
+        budgets,
         st.sampled_from(["x", "y", "c"]),
         st.sampled_from(
             [
@@ -141,9 +145,9 @@ class TestExecutionEquivalence:
     )
     @settings(max_examples=8, deadline=None)
     def test_goal_directed_equals_filtered_full_mine(
-        self, xs, ys, cs, minsup, backend, target, variant
+        self, xs, ys, cs, minsup, budget, target, variant
     ):
-        """``target=`` mining is pure pruning: for any table, backend,
+        """``target=`` mining is pure pruning: for any table, budget,
         executor and cache, it must return exactly the rules of a full
         mine whose consequent is the single item over the target
         attribute — same objects, same order — while never counting
@@ -153,9 +157,9 @@ class TestExecutionEquivalence:
         table = build_table(xs[:n], ys[:n], cs[:n])
         target_idx = table.schema.index_of(target)
 
-        full = mine_with(table, backend, minsup, ExecutionConfig())
+        full = mine_with(table, budget, minsup, ExecutionConfig())
         goal = mine_with(
-            table, backend, minsup, execution, cache_backend,
+            table, budget, minsup, execution, cache_backend,
             target=target,
         )
 
@@ -178,12 +182,14 @@ class TestExecutionEquivalence:
     def test_auto_backend_choice_ignores_shard_layout(
         self, xs, shard_size
     ):
-        """`auto` must pick its backend from full-table cardinalities,
-        so tiny shards cannot flip a group to a different backend."""
+        """The budget rule must charge tables at full-table cardinalities,
+        so tiny shards cannot flip a group to a different structure.  At
+        256 bytes the 1-D arrays (at most 10 cells) fit and the 2-D ones
+        do not, so the choice is made both ways within a run."""
         table = build_table(xs, list(reversed(xs)), xs)
-        reference = mine_with(table, "auto", 0.2, ExecutionConfig())
+        reference = mine_with(table, 256, 0.2, ExecutionConfig())
         sharded = mine_with(
-            table, "auto", 0.2, ExecutionConfig(shard_size=shard_size)
+            table, 256, 0.2, ExecutionConfig(shard_size=shard_size)
         )
         assert sharded.support_counts == reference.support_counts
         assert (

@@ -175,6 +175,25 @@ class TestResultDocuments:
         assert decoded.rules == result.rules
         assert decoded.interesting_rules == result.interesting_rules
 
+    def test_stored_counting_choice_still_loads(self, result, tmp_path):
+        """Documents written while the counting structure was a config
+        option carry ``"counting"``; they load, and the config they
+        carry mines the same rules."""
+        from repro.core.export import load_result_json, result_to_document
+
+        document = result_to_document(result)
+        current = tmp_path / "current.json"
+        current.write_text(json.dumps(document))
+        document["config"]["counting"] = "bitmap"
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(document))
+        decoded = load_result_json(path)
+        assert decoded.config == load_result_json(current).config
+        assert decoded.rules == result.rules
+        remined = QuantitativeMiner(people_table(), decoded.config).mine()
+        assert remined.rules == result.rules
+        assert remined.interesting_rules == result.interesting_rules
+
     def test_wrong_format_rejected(self, result):
         from repro.core.export import (
             result_from_document,

@@ -6,8 +6,8 @@ clean prefix, bit-identical merges), online partition maintenance
 (kept partitions vs. forced re-partition, artifact GC), the bounded
 disk cache, and the serve-layer append surface — including a
 property-based equivalence: mine -> append -> mine must equal a cold
-mine of the concatenated table, across counting backends, executors
-and cache backends.
+mine of the concatenated table, under both counting structures (the
+default memory budget and budget 0), executors and cache backends.
 """
 
 import json
@@ -245,13 +245,13 @@ class TestIncrementalEquivalence:
         st.integers(60, 160),
         st.integers(1, 60),
         st.floats(0.1, 0.33),
-        st.sampled_from(["array", "bitmap", "direct", "rtree"]),
+        st.sampled_from([MinerConfig().memory_budget_bytes, 0]),
         st.sampled_from([8, 32]),
         st.booleans(),
     )
     @settings(max_examples=20, deadline=None)
     def test_append_then_mine_matches_cold_mine(
-        self, seed, n, extra_n, minsup, backend, shard_size, novel
+        self, seed, n, extra_n, minsup, budget, shard_size, novel
     ):
         rows = build_rows(n, seed=seed)
         # 'novel' appends draw from a wider value set, so some runs
@@ -261,7 +261,9 @@ class TestIncrementalEquivalence:
             extra_n, seed=seed + 1, values=8 if novel else 6
         )
         config = incremental_config(
-            shard_size=shard_size, min_support=minsup, counting=backend
+            shard_size=shard_size,
+            min_support=minsup,
+            memory_budget_bytes=budget,
         )
         miner = QuantitativeMiner(
             RelationalTable.from_records(SCHEMA, rows), config

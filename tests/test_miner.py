@@ -113,10 +113,18 @@ class TestDeterminism:
 
 
 class TestBackendEquivalence:
-    """Section 5.2: all counting structures must produce identical output."""
+    """Section 5.2: both counting structures must produce identical output.
 
-    @pytest.mark.parametrize("backend", ["rtree", "direct", "auto"])
-    def test_backends_equal_array(self, backend):
+    The memory budget picks the structure per counting table: budget 0
+    puts every table on the R*-tree (pass 2 through explicit groups),
+    and ``auto``'s budget sits between this table's smallest and largest
+    tables, so one run mixes both structures.
+    """
+
+    @pytest.mark.parametrize(
+        "backend, budget", [("rtree", 0), ("auto", 4096)], ids=["rtree", "auto"]
+    )
+    def test_backends_equal_array(self, backend, budget):
         table = generate_credit_table(500, seed=11)
         base = dict(
             min_support=0.25,
@@ -124,14 +132,18 @@ class TestBackendEquivalence:
             max_support=0.45,
             partial_completeness=4.0,
         )
-        reference = QuantitativeMiner(
-            table, MinerConfig(**base, counting="array")
-        ).mine()
+        reference = QuantitativeMiner(table, MinerConfig(**base)).mine()
         other = QuantitativeMiner(
-            table, MinerConfig(**base, counting=backend)
+            table, MinerConfig(**base, memory_budget_bytes=budget)
         ).mine()
+        assert set(reference.stats.counting_groups_by_backend) == {"array"}
+        used = set(other.stats.counting_groups_by_backend)
+        assert "rtree" in used
+        assert ("array" in used) == (backend == "auto")
         assert reference.support_counts == other.support_counts
+        assert list(reference.support_counts) == list(other.support_counts)
         assert reference.rules == other.rules
+        assert reference.interesting_rules == other.interesting_rules
 
 
 class TestMaxItemsetSize:

@@ -77,8 +77,8 @@ class TestRealizedCompleteness:
 
 class TestAutoBackendHeuristic:
     def test_huge_array_falls_back_to_rtree(self):
-        # Five 60-valued dimensions -> 60^5 cells; far beyond any budget
-        # a small candidate set justifies.
+        # Five 60-valued dimensions -> 60^5 cells, ~6 GB at 8 bytes a
+        # cell: past a 64 MiB budget however few candidates there are.
         rng = np.random.default_rng(1)
         schema = TableSchema(
             [quantitative(f"q{i}") for i in range(5)]
@@ -94,7 +94,7 @@ class TestAutoBackendHeuristic:
         ]
         (group,) = group_candidates(candidates, set(range(5)))
         resolved = choose_backend(
-            group, mapper, "auto", memory_budget_bytes=64 * 1024 * 1024
+            group, mapper, memory_budget_bytes=64 * 1024 * 1024
         )
         assert resolved == "rtree"
 
@@ -109,9 +109,7 @@ class TestAutoBackendHeuristic:
         )
         candidates = [make_itemset([Item(0, 0, 1), Item(2, 0, 1)])]
         (group,) = group_candidates(candidates, {0, 2})
-        assert (
-            choose_backend(group, mapper, "auto", 1 << 30) == "array"
-        )
+        assert choose_backend(group, mapper, 1 << 30) == "array"
 
 
 class TestInterestCounterFallback:

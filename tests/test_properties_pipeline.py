@@ -45,12 +45,12 @@ class TestPipelineConsistency:
         st.floats(0.1, 0.45),
         st.floats(0.3, 0.9),
         st.sampled_from(["equidepth", "equiwidth", "cluster"]),
-        st.sampled_from(["array", "auto"]),
+        st.sampled_from([256 * 1024 * 1024, 0]),
         st.one_of(st.none(), st.floats(1.05, 2.0)),
     )
     @settings(max_examples=25, deadline=None)
     def test_every_result_passes_diagnostics(
-        self, xs, ys, cs, minsup, maxsup, method, backend, interest
+        self, xs, ys, cs, minsup, maxsup, method, budget, interest
     ):
         n = min(len(xs), len(ys), len(cs))
         table = build_table(xs[:n], ys[:n], cs[:n])
@@ -60,7 +60,7 @@ class TestPipelineConsistency:
             max_support=maxsup,
             partial_completeness=3.0,
             partition_method=method,
-            counting=backend,
+            memory_budget_bytes=budget,
             interest_level=interest,
         )
         result = QuantitativeMiner(table, config).mine()
@@ -77,16 +77,19 @@ class TestPipelineConsistency:
             min_confidence=0.3,
             max_support=0.7,
             partial_completeness=3.0,
+            interest_level=1.1,
         )
-        reference = QuantitativeMiner(
-            table, MinerConfig(**base, counting="array")
+        # Default budget: the array everywhere.  Budget 0: the R*-tree
+        # everywhere, pass 2 through explicit groups.
+        reference = QuantitativeMiner(table, MinerConfig(**base)).mine()
+        other = QuantitativeMiner(
+            table, MinerConfig(**base, memory_budget_bytes=0)
         ).mine()
-        for backend in ("rtree", "direct"):
-            other = QuantitativeMiner(
-                table, MinerConfig(**base, counting=backend)
-            ).mine()
-            assert other.support_counts == reference.support_counts
-            assert other.rules == reference.rules
+        assert "array" not in other.stats.counting_groups_by_backend
+        assert other.support_counts == reference.support_counts
+        assert list(other.support_counts) == list(reference.support_counts)
+        assert other.rules == reference.rules
+        assert other.interesting_rules == reference.interesting_rules
 
 
 class TestTaxonomyProperties:

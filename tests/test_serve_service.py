@@ -236,6 +236,36 @@ class TestRecovery:
         finally:
             svc.shutdown(drain_seconds=0)
 
+    def test_recovery_accepts_stored_counting_choice(self, tmp_path):
+        """A journaled config from when the counting structure was an
+        option still recovers, and mines the same rules."""
+        store = DiskJobStore(tmp_path / "store")
+        tables = TableRegistry(tmp_path / "tables")
+        tables.put_csv("people", CSV, categorical=["married"])
+        store.create(
+            JobRecord(
+                job_id="job-old",
+                table_ref="people",
+                config=dict(CONFIG, counting="bitmap"),
+                submitted_at=time.time(),
+            )
+        )
+        store.close()
+        svc = MiningService(
+            store=DiskJobStore(tmp_path / "store"),
+            tables=TableRegistry(tmp_path / "tables"),
+        ).start()
+        try:
+            assert [r.job_id for r in svc.recover()] == ["job-old"]
+            assert wait_done(svc, "job-old").status == "completed"
+            direct = mine_quantitative_rules(
+                svc.tables.get("people"), MinerConfig.from_dict(CONFIG)
+            )
+            document = svc.result_document("job-old")
+            assert document["rules"] == result_to_document(direct)["rules"]
+        finally:
+            svc.shutdown(drain_seconds=0)
+
     def test_recovery_fails_job_with_missing_table(self, tmp_path):
         store = DiskJobStore(tmp_path / "store")
         store.create(

@@ -7,6 +7,8 @@ block size the output must be bit-identical to the serial reference —
 same rules, same interesting rules, same list order.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +21,31 @@ from repro.core import (
     filter_interesting_rules,
     generate_rules,
 )
+import repro.core.interest as interest_module
+import repro.core.rulegen as rulegen_module
 from repro.core.apriori_quant import find_frequent_itemsets
 from repro.core.mapper import TableMapper
-from repro.engine import plan_blocks
+from repro.engine import SerialExecutor, plan_blocks
 from repro.table import RelationalTable, TableSchema, categorical, quantitative
 
 NO_CACHE = CacheConfig(enabled=False)
+
+
+@contextmanager
+def counting_calls(module, name):
+    """Wrap ``module.name`` for the block; yields the list of its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    setattr(module, name, wrapper)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
 
 
 def build_table(x_values, y_values, c_values):
@@ -134,6 +155,8 @@ class TestShardedRuleStagesProperty:
     @given(draws, st.integers(1, 7))
     @settings(max_examples=6, deadline=None)
     def test_generate_rules_blocked_equals_serial(self, xs, block_size):
+        # Rule generation fans out only when given an executor; the
+        # serial one runs the block path in-process.
         table = build_table(xs, list(reversed(xs)), xs)
         config = MinerConfig(
             min_support=0.15,
@@ -144,14 +167,21 @@ class TestShardedRuleStagesProperty:
         mapper = TableMapper(table, config)
         support_counts, _ = find_frequent_itemsets(mapper, config)
         serial = generate_rules(support_counts, mapper.num_records, 0.3)
-        blocked = generate_rules(
-            support_counts,
-            mapper.num_records,
-            0.3,
-            executor=None,
-            block_size=block_size,
-        )
+        with counting_calls(rulegen_module, "_rules_block") as calls:
+            blocked = generate_rules(
+                support_counts,
+                mapper.num_records,
+                0.3,
+                executor=SerialExecutor(),
+                block_size=block_size,
+            )
         assert blocked == serial
+        assert len(calls) == len(
+            plan_blocks(
+                [c for c in support_counts if len(c) >= 2],
+                block_size=block_size,
+            )
+        )
 
 
 class TestShardedInterestFilter:
@@ -177,12 +207,18 @@ class TestShardedInterestFilter:
         return rules, support_counts, frequent_items, mapper, config
 
     def test_blocked_filter_matches_serial(self):
-        pieces = self._pipeline_pieces()
+        # At R = 1.1 some deviation survivors reach the specialization
+        # check on this table, so its counter is exercised too.
+        pieces = self._pipeline_pieces(interest_level=1.1)
         serial, serial_stats = filter_interesting_rules(*pieces)
         for block_size in (1, 2, 5, 100):
-            blocked, blocked_stats = filter_interesting_rules(
-                *pieces, block_size=block_size
-            )
+            # The filter fans out only when given an executor; the
+            # serial one runs the block path in-process.
+            with counting_calls(interest_module, "_interest_block") as calls:
+                blocked, blocked_stats = filter_interesting_rules(
+                    *pieces, executor=SerialExecutor(), block_size=block_size
+                )
+            assert calls, block_size
             assert blocked == serial, block_size
             # The worker counters merge back into the caller's stats.
             assert (
@@ -192,9 +228,22 @@ class TestShardedInterestFilter:
                 blocked_stats.rules_interesting
                 == serial_stats.rules_interesting
             )
+            assert (
+                blocked_stats.deviation_tests == serial_stats.deviation_tests
+            )
+            assert (
+                blocked_stats.specialization_checks
+                == serial_stats.specialization_checks
+            )
+        assert serial_stats.deviation_tests > 0
+        assert serial_stats.specialization_checks > 0
 
     def test_interest_disabled_never_fans_out(self):
         pieces = self._pipeline_pieces(interest_level=None)
         rules = pieces[0]
-        kept, _ = filter_interesting_rules(*pieces, block_size=1)
+        with counting_calls(interest_module, "_interest_block") as calls:
+            kept, _ = filter_interesting_rules(
+                *pieces, executor=SerialExecutor(), block_size=1
+            )
         assert kept == list(rules)
+        assert calls == []

@@ -219,28 +219,35 @@ class TestEndToEnd:
             ],
         )
 
-        def mine(execution):
+        def mine(execution, budget=MinerConfig().memory_budget_bytes):
             config = MinerConfig(
                 min_support=0.15,
                 min_confidence=0.3,
-                counting="bitmap",
+                memory_budget_bytes=budget,
                 execution=execution,
             )
             return QuantitativeMiner(table, config).mine()
 
+        pool = ExecutionConfig(executor="parallel", num_workers=2)
         reference = mine(ExecutionConfig())
-        parallel = mine(
-            ExecutionConfig(executor="parallel", num_workers=2)
-        )
-        assert parallel.support_counts == reference.support_counts
-        assert parallel.rules == reference.rules
+        parallel = mine(pool)
+        # Budget 0: every group on the R*-tree over the shared views.
+        parallel_rtree = mine(pool, budget=0)
+        for result in (parallel, parallel_rtree):
+            assert result.support_counts == reference.support_counts
+            assert list(result.support_counts) == list(
+                reference.support_counts
+            )
+            assert result.rules == reference.rules
 
         execution = parallel.stats.execution
         assert execution.shard_handoff == "zero-copy"
         assert "zero-copy" in execution.stage_handoff.values()
         assert reference.stats.execution.shard_handoff == "copied"
         assert "zero-copy handoff" in parallel.stats.summary()
+        assert parallel.stats.counting_groups_by_backend.get("array", 0) > 0
         assert (
-            parallel.stats.counting_groups_by_backend.get("bitmap", 0) > 0
+            parallel_rtree.stats.counting_groups_by_backend.get("rtree", 0)
+            > 0
         )
-        assert "bitmap=" in parallel.stats.summary()
+        assert "rtree=" in parallel_rtree.stats.summary()

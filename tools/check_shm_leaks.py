@@ -64,7 +64,6 @@ def main():
             max_support=0.5,
             partial_completeness=3.0,
             max_itemset_size=2,
-            counting="bitmap",
             execution=execution,
         )
         return QuantitativeMiner(table, config).mine()
