@@ -3,7 +3,7 @@
 Every benchmark regenerates one of the paper's evaluation artifacts
 (Figures 7, 8, 9) or one of the design-choice ablations DESIGN.md calls
 out.  Expensive inputs (synthetic credit tables) are cached per session,
-and each benchmark appends its reproduced series to a text report under
+and each benchmark writes its reproduced series to a text report under
 ``benchmarks/results/`` so the numbers survive the run.
 """
 
@@ -37,14 +37,16 @@ class ResultReporter:
     """Accumulates one experiment's table and writes it at teardown.
 
     Two parallel outputs: the human text table (``line``/``row``,
-    appended to ``results/<name>.txt``) and machine-readable rows
-    (``record``, appended to the run list in ``results/<name>.json``)
+    written to ``results/<name>.txt``) and machine-readable rows
+    (``record``, added to the run list in ``results/<name>.json``)
     so downstream tooling can track the numbers without parsing the
-    prose.
+    prose.  A ``fresh`` reporter (a module's first in a session) starts
+    both files afresh, so they hold that session's run and nothing older.
     """
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, fresh: bool = False) -> None:
         self._name = name
+        self._fresh = fresh
         self._lines: list = []
         self._records: list = []
 
@@ -67,15 +69,14 @@ class ResultReporter:
     def flush(self) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
         path = RESULTS_DIR / f"{self._name}.txt"
-        existing = (
-            path.read_text() if path.exists() else ""
-        )
-        with path.open("a") as f:
-            if not existing:
+        with path.open("w" if self._fresh else "a") as f:
+            if self._fresh:
                 f.write(f"# {self._name}\n")
             f.write("\n".join(self._lines) + "\n")
+        json_path = RESULTS_DIR / f"{self._name}.json"
+        if self._fresh and json_path.exists():
+            json_path.unlink()
         if self._records:
-            json_path = RESULTS_DIR / f"{self._name}.json"
             runs = (
                 json.loads(json_path.read_text())
                 if json_path.exists()
@@ -87,10 +88,17 @@ class ResultReporter:
             json_path.write_text(json.dumps(runs, indent=2) + "\n")
 
 
+@pytest.fixture(scope="session")
+def written_reports():
+    """Names of the reports written so far in this session."""
+    return set()
+
+
 @pytest.fixture
-def reporter(request):
+def reporter(request, written_reports):
     """Per-test reporter named after the benchmark module."""
     name = request.module.__name__.replace("bench_", "")
-    r = ResultReporter(name)
+    r = ResultReporter(name, fresh=name not in written_reports)
+    written_reports.add(name)
     yield r
     r.flush()

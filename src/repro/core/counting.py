@@ -125,24 +125,75 @@ def categorical_mask(mapper: TableMapper, items) -> np.ndarray | None:
     return mask
 
 
+class RecordSelection:
+    """The records of ``view`` that match a categorical conjunction.
+
+    Presents the view's counting surface (``num_records`` / ``column`` /
+    ``cardinality``) over just those records, so a
+    :class:`PrefixSumCounter` or an R*-tree scan built on it sees only
+    the matching records.  The conjunction's mask is built once; each
+    column is gathered by index on first use, narrowed to the smallest
+    unsigned type that holds the attribute's cardinality, and kept as
+    long as the selection is, so every group sharing the conjunction
+    reuses it.  An empty conjunction selects every record and gathers
+    nothing.
+    """
+
+    def __init__(self, view, items) -> None:
+        self._view = view
+        mask = categorical_mask(view, items)
+        self._rows = None if mask is None else np.flatnonzero(mask)
+        self._columns: dict = {}
+
+    @property
+    def num_records(self) -> int:
+        if self._rows is None:
+            return self._view.num_records
+        return len(self._rows)
+
+    def column(self, index: int) -> np.ndarray:
+        if self._rows is None:
+            return self._view.column(index)
+        column = self._columns.get(index)
+        if column is None:
+            codes = np.min_scalar_type(self.cardinality(index))
+            column = self._view.column(index).take(self._rows).astype(codes)
+            self._columns[index] = column
+        return column
+
+    def cardinality(self, index: int) -> int:
+        return self._view.cardinality(index)
+
+
+def _flat_cells(columns, shape) -> np.ndarray:
+    """Each record's C-order cell index in a table of ``shape``.
+
+    The arithmetic of ``np.ravel_multi_index`` without its bounds check
+    (mapped codes always lie within their attribute's cardinality), in
+    ``intp`` so that narrow code columns cannot overflow.
+    """
+    flat = columns[0]
+    for column, size in zip(columns[1:], shape[1:]):
+        flat = np.multiply(flat, size, dtype=np.intp)
+        flat += column
+    return flat
+
+
 class PrefixSumCounter:
     """The multi-dimensional array of Section 5.2, with prefix sums.
 
     Builds the joint histogram of the given quantitative attributes over
-    the records selected by ``mask`` and pre-computes an inclusive
-    prefix-sum table, after which any axis-aligned integer rectangle is
-    counted in O(2^ndim).
+    every record of ``mapper`` (a table, a shard or a
+    :class:`RecordSelection`) and pre-computes an inclusive prefix-sum
+    table, after which any axis-aligned integer rectangle is counted in
+    O(2^ndim).
     """
 
-    def __init__(self, mapper: TableMapper, quant_attrs, mask=None) -> None:
+    def __init__(self, mapper: TableMapper, quant_attrs) -> None:
         self._shape = tuple(mapper.cardinality(a) for a in quant_attrs)
-        columns = [mapper.column(a) for a in quant_attrs]
-        if mask is not None:
-            columns = [c[mask] for c in columns]
-        if len(columns) == 1:
-            flat = columns[0]
-        else:
-            flat = np.ravel_multi_index(columns, self._shape)
+        flat = _flat_cells(
+            [mapper.column(a) for a in quant_attrs], self._shape
+        )
         hist = np.bincount(
             flat, minlength=int(np.prod(self._shape))
         ).reshape(self._shape)
@@ -200,13 +251,13 @@ class PrefixSumCounter:
 # ----------------------------------------------------------------------
 # Per-group structures
 # ----------------------------------------------------------------------
-def _count_group_array(group, mapper, mask) -> list:
-    counter = PrefixSumCounter(mapper, group.quant_attrs, mask)
+def _count_group_array(group, selection) -> list:
+    counter = PrefixSumCounter(selection, group.quant_attrs)
     lo, hi = group.rectangles()
     return counter.count_rects(lo, hi).tolist()
 
 
-def _count_group_rtree(group, mapper, mask) -> list:
+def _count_group_rtree(group, selection) -> list:
     lo, hi = group.rectangles()
     # STR bulk loading: the rectangle set is fully known up front, so
     # packing beats incremental R* insertion and yields a tighter tree.
@@ -217,9 +268,7 @@ def _count_group_rtree(group, mapper, mask) -> list:
         ),
         max_entries=16,
     )
-    columns = [mapper.column(a) for a in group.quant_attrs]
-    if mask is not None:
-        columns = [c[mask] for c in columns]
+    columns = [selection.column(a) for a in group.quant_attrs]
     counts = [0] * len(group.candidates)
     for point in zip(*columns):
         for candidate_index in tree.containing_point(point):
@@ -268,17 +317,28 @@ def count_groups(groups, backends, view) -> list:
     group) of lists (per candidate) of integer counts, merge-ready by
     elementwise addition.  ``backends`` holds each group's
     :func:`choose_backend` verdict.
+
+    Groups are counted conjunction by conjunction: each distinct
+    categorical conjunction's :class:`RecordSelection` is built once,
+    counts every group that shares it, and is dropped before the next,
+    so at most one conjunction's gathered columns are held at a time.
     """
-    out = []
-    for group, resolved in zip(groups, backends):
-        mask = categorical_mask(view, group.categorical_items)
-        if resolved == MASK_BACKEND:
-            population = (
-                int(mask.sum()) if mask is not None else view.num_records
-            )
-            out.append([population] * len(group.candidates))
-        else:
-            out.append(_GROUP_BACKENDS[resolved](group, view, mask))
+    by_conjunction: dict = {}
+    for position, group in enumerate(groups):
+        by_conjunction.setdefault(group.categorical_items, []).append(
+            position
+        )
+    out: list = [None] * len(groups)
+    for items, positions in by_conjunction.items():
+        selection = RecordSelection(view, items)
+        for position in positions:
+            group, resolved = groups[position], backends[position]
+            if resolved == MASK_BACKEND:
+                out[position] = [selection.num_records] * len(
+                    group.candidates
+                )
+            else:
+                out[position] = _GROUP_BACKENDS[resolved](group, selection)
     return out
 
 
@@ -419,9 +479,7 @@ class _CatCatPlan:
     def shard_counts(self, view) -> np.ndarray:
         a, b = self.attrs
         shape = (view.cardinality(a), view.cardinality(b))
-        flat = np.ravel_multi_index(
-            (view.column(a), view.column(b)), shape
-        )
+        flat = _flat_cells((view.column(a), view.column(b)), shape)
         return np.bincount(
             flat, minlength=shape[0] * shape[1]
         ).reshape(shape)
@@ -438,7 +496,7 @@ class _CatCatPlan:
 
 @dataclass
 class _CatQuantPlan:
-    """Mixed pair: one masked 1-D prefix-sum counter per categorical value."""
+    """Mixed pair: one 1-D prefix-sum counter per categorical value."""
 
     cat_items: list
     quant_items: list
@@ -448,9 +506,7 @@ class _CatQuantPlan:
         quant_attr = self.quant_items[0].attribute
         rows = [
             PrefixSumCounter(
-                view,
-                (quant_attr,),
-                view.column(cat_item.attribute) == cat_item.lo,
+                RecordSelection(view, (cat_item,)), (quant_attr,)
             ).count_cross([ranges])
             for cat_item in self.cat_items
         ]

@@ -18,7 +18,11 @@ from ..table import AttributeKind, RelationalTable
 from .config import MinerConfig
 from .items import Item
 from .partial_completeness import required_intervals
-from .partitioner import Partitioning, partition_column
+from .partitioner import (
+    Partitioning,
+    coded_max_multi_value_support,
+    partition_column,
+)
 
 
 @dataclass(frozen=True)
@@ -369,6 +373,30 @@ class TableMapper:
 
     def cardinality(self, index: int) -> int:
         return self._mappings[index].cardinality
+
+    def max_multi_value_support(self) -> float:
+        """Equation 1's ``s`` across the partitioned attributes, memoized.
+
+        The highest support of a base interval holding more than one raw
+        value (see :meth:`Partitioning.max_multi_value_support`), measured
+        once per encoding from the coded columns.  An append builds a new
+        mapper, so a grown table is always measured afresh.
+        """
+        s = getattr(self, "_max_multi_value_support", None)
+        if s is None:
+            s = 0.0
+            for index, mapping in enumerate(self._mappings):
+                if mapping.is_partitioned:
+                    s = max(
+                        s,
+                        coded_max_multi_value_support(
+                            self._columns[index],
+                            self._table.column(index),
+                            mapping.cardinality,
+                        ),
+                    )
+            self._max_multi_value_support = s
+        return s
 
     def matrix(self) -> np.ndarray:
         """records x attributes integer matrix (copies the columns)."""

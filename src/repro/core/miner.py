@@ -500,27 +500,17 @@ class QuantitativeMiner:
         """Equation 1 applied to the realized partitioning.
 
         Uses the highest support among multi-value base intervals across
-        quantitative attributes; returns 1.0 (no loss) when every interval
-        is a single value.
+        quantitative attributes (measured once per encoding, see
+        :meth:`TableMapper.max_multi_value_support`); returns 1.0 (no
+        loss) when every interval is a single value.
         """
-        quantitative = [
-            i
-            for i, m in enumerate(self._mapper.mappings)
-            if m.is_quantitative
-        ]
-        s = 0.0
-        for i in quantitative:
-            mapping = self._mapper.mapping(i)
-            if mapping.partitioning is None or not mapping.is_partitioned:
-                continue
-            s = max(
-                s,
-                mapping.partitioning.max_multi_value_support(
-                    self._table.column(i)
-                ),
-            )
+        num_quantitative = sum(
+            1 for m in self._mapper.mappings if m.is_quantitative
+        )
         return completeness_from_partitioning(
-            s, min_support, len(quantitative)
+            self._mapper.max_multi_value_support(),
+            min_support,
+            num_quantitative,
         )
 
     def _completeness_budget(self) -> float:

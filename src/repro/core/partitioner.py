@@ -93,16 +93,34 @@ class Partitioning:
         if not self.partitioned:
             return 0.0
         column = np.asarray(column, dtype=np.float64)
-        codes = self.assign(column)
-        supports = np.bincount(codes, minlength=self.num_intervals)
-        s = 0.0
-        for code in range(self.num_intervals):
-            if supports[code] == 0:
-                continue
-            in_interval = column[codes == code]
-            if np.unique(in_interval).size > 1:
-                s = max(s, supports[code] / len(column))
-        return s
+        return coded_max_multi_value_support(
+            self.assign(column), column, self.num_intervals
+        )
+
+
+def coded_max_multi_value_support(codes, column, num_intervals: int) -> float:
+    """Equation 1's ``s`` for one partitioned attribute, from its codes.
+
+    ``codes`` are ``column``'s base-interval indices.  An interval spans
+    more than one value when the least raw value it holds is below the
+    greatest, or when it holds NaN next to another value (``np.unique``
+    counts NaN as one value).  The result is the highest such interval's
+    share of the records (0 when every interval holds a single value).
+    """
+    lows = np.full(num_intervals, np.inf)
+    highs = np.full(num_intervals, -np.inf)
+    with np.errstate(invalid="ignore"):  # NaN is handled below
+        np.minimum.at(lows, codes, column)
+        np.maximum.at(highs, codes, column)
+    supports = np.bincount(codes, minlength=num_intervals)
+    multi = lows < highs
+    nan = np.isnan(column)
+    if nan.any():
+        nans = np.bincount(codes[nan], minlength=num_intervals)
+        multi |= (nans > 0) & (supports > nans)
+    if not multi.any():
+        return 0.0
+    return supports[multi].max() / len(column)
 
 
 def equi_depth(column, num_intervals: int) -> Partitioning:
@@ -117,11 +135,15 @@ def equi_depth(column, num_intervals: int) -> Partitioning:
     column = _validated_column(column)
     if num_intervals < 1:
         raise ValueError(f"num_intervals must be >= 1, got {num_intervals}")
-    distinct = np.unique(column)
+    # One sort serves both the distinct values and the quantiles: order
+    # statistics do not depend on the input's order, and a sorted input
+    # is the cheap case for ``np.quantile``'s partitioning.
+    ordered = np.sort(column)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     if len(distinct) <= num_intervals:
         return Partitioning(edges=(), partitioned=False, values=tuple(distinct))
     quantiles = np.quantile(
-        column, np.linspace(0.0, 1.0, num_intervals + 1)
+        ordered, np.linspace(0.0, 1.0, num_intervals + 1)
     )
     edges = np.unique(quantiles)
     if len(edges) < 2:

@@ -154,17 +154,6 @@ class RStarTree:
         self._collect(self._root, out)
         return out
 
-    def estimated_memory(self) -> int:
-        """Rough byte estimate used by the counting-structure heuristic.
-
-        Counts 16 bytes per bound coordinate plus per-entry overhead; the
-        absolute value is irrelevant — only the ratio against the
-        multi-dimensional array's cell count matters (Section 5.2).
-        """
-        per_entry = 2 * self._ndim * 16 + 64
-        num_nodes = max(1, int(self._size / max(1, self._min)))
-        return self._size * per_entry + num_nodes * 64
-
     # ------------------------------------------------------------------
     # Query internals
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.counting (super-candidates, Section 5.2)."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,20 @@ from repro.core import Item, MinerConfig, TableMapper, make_itemset
 from repro.core.counting import (
     CountingStats,
     PrefixSumCounter,
+    RecordSelection,
     categorical_mask,
     choose_backend,
     count_frequent_pairs,
+    count_groups,
     count_itemsets,
     group_candidates,
+)
+from repro.engine import (
+    SharedColumnStore,
+    SharedShardView,
+    TableShard,
+    shard_view,
+    shared_memory_available,
 )
 from repro.table import RelationalTable, TableSchema, categorical, quantitative
 
@@ -37,10 +48,12 @@ def mapper():
     )
 
 
-def brute_support(mapper, itemset):
-    mask = np.ones(mapper.num_records, dtype=bool)
+def brute_support(mapper, itemset, start=0, stop=None):
+    """Record-scan support of ``itemset`` over records ``[start, stop)``."""
+    stop = mapper.num_records if stop is None else stop
+    mask = np.ones(stop - start, dtype=bool)
     for item in itemset:
-        col = mapper.column(item.attribute)
+        col = mapper.column(item.attribute)[start:stop]
         mask &= (col >= item.lo) & (col <= item.hi)
     return int(mask.sum())
 
@@ -98,7 +111,9 @@ class TestPrefixSumCounter:
 
     def test_matches_brute_force_2d_with_mask(self, mapper):
         mask = mapper.column(2) == 1
-        counter = PrefixSumCounter(mapper, (0, 1), mask)
+        counter = PrefixSumCounter(
+            RecordSelection(mapper, (Item(2, 1, 1),)), (0, 1)
+        )
         lo = np.array([[1, 0], [0, 0]])
         hi = np.array([[4, 3], [7, 7]])
         counts = counter.count_rects(lo, hi)
@@ -285,3 +300,110 @@ class TestMemoryBudget:
         for itemset, count in result.support_counts.items():
             assert count == brute_support(result.mapper, itemset)
         assert result.stats.counting_groups_by_backend == {"mask": 1}
+
+
+class TestSharedConjunctions:
+    """Groups that share categorical conjunctions, counted on the full
+    table and on record sub-ranges, against a brute-force record scan."""
+
+    @staticmethod
+    def _mapper():
+        rng = np.random.default_rng(5)
+        schema = TableSchema(
+            [
+                quantitative("x"),
+                quantitative("y"),
+                categorical("c", ("p", "q", "r")),
+                categorical("d", ("u", "v")),
+            ]
+        )
+        n = 400
+        # 40 x 12 cells: a cell index past 255 must not wrap around in
+        # the narrow codes a selection gathers.
+        x = np.arange(n) % 40.0
+        y = rng.integers(0, 12, n).astype(float)
+        c = rng.integers(0, 2, n)  # "r" (code 2) matches no record
+        d = rng.integers(0, 2, n)
+        table = RelationalTable.from_columns(schema, [x, y, c, d])
+        return TableMapper(
+            table,
+            MinerConfig(min_support=0.05, num_partitions={"x": 40, "y": 12}),
+        )
+
+    #: Categorical conjunctions, the empty one and one matching nothing
+    #: included.
+    CONJUNCTIONS = (
+        (),
+        (Item(2, 0, 0),),
+        (Item(2, 1, 1),),
+        (Item(2, 2, 2),),
+        (Item(2, 0, 0), Item(3, 0, 0)),
+        (Item(3, 1, 1),),
+    )
+
+    def _groups(self):
+        """Per conjunction: groups over (x), (y) and the overlapping
+        (x, y), plus a pure-categorical group."""
+        ranges = {0: [(0, 10), (5, 39), (17, 17)], 1: [(0, 11), (2, 6)]}
+        candidates = []
+        for conjunction in self.CONJUNCTIONS:
+            if conjunction:
+                candidates.append(make_itemset(conjunction))
+            for attrs in ((0,), (1,), (0, 1)):
+                for bounds in product(*(ranges[a] for a in attrs)):
+                    quant = [
+                        Item(a, lo, hi) for a, (lo, hi) in zip(attrs, bounds)
+                    ]
+                    candidates.append(make_itemset(list(conjunction) + quant))
+        return group_candidates(candidates, {0, 1})
+
+    def _views(self, mapper, store):
+        n = mapper.num_records
+        yield mapper, 0, n
+        handle = store.publish(mapper) if store is not None else None
+        for start, stop in ((0, n), (0, 1), (37, 230), (n - 1, n), (90, 90)):
+            yield shard_view(mapper, TableShard(start, stop)), start, stop
+            if handle is not None:
+                yield SharedShardView(handle, start, stop), start, stop
+
+    @pytest.mark.parametrize("budget", ["array", "rtree"])
+    def test_counts_match_brute_force_on_every_view(self, budget):
+        mapper = self._mapper()
+        groups = self._groups()
+        backends = [
+            choose_backend(group, mapper, BUDGETS[budget]) for group in groups
+        ]
+        assert set(backends) == {budget, "mask"}
+        store = SharedColumnStore() if shared_memory_available() else None
+        try:
+            for view, start, stop in self._views(mapper, store):
+                per_group = count_groups(groups, backends, view)
+                for group, counts in zip(groups, per_group):
+                    assert counts == [
+                        brute_support(mapper, itemset, start, stop)
+                        for itemset in group.candidates
+                    ], (type(view).__name__, start, stop)
+        finally:
+            if store is not None:
+                store.close()
+
+    @pytest.mark.parametrize("budget", ["array", "rtree"])
+    def test_one_mask_per_distinct_conjunction(self, budget, monkeypatch):
+        import repro.core.counting as counting
+
+        mapper = self._mapper()
+        groups = self._groups()
+        assert len(groups) > len(self.CONJUNCTIONS)
+        seen = []
+        original = counting.categorical_mask
+
+        def counted(view, items):
+            seen.append(tuple(items))
+            return original(view, items)
+
+        monkeypatch.setattr(counting, "categorical_mask", counted)
+        candidates = [itemset for g in groups for itemset in g.candidates]
+        counts = count_itemsets(candidates, mapper, {0, 1}, BUDGETS[budget])
+        assert sorted(seen) == sorted(self.CONJUNCTIONS)
+        for itemset, count in counts.items():
+            assert count == brute_support(mapper, itemset)

@@ -147,12 +147,5 @@ class TestStructure:
         assert len(depths) == 1
         assert depths.pop() == tree.height - 1
 
-    def test_estimated_memory_positive_and_monotone(self):
-        tree = RStarTree(ndim=2)
-        small = tree.estimated_memory()
-        for i in range(50):
-            tree.insert(Rect.point((i, i)), i)
-        assert tree.estimated_memory() > small
-
     def test_repr(self):
         assert "RStarTree" in repr(RStarTree(ndim=2))
