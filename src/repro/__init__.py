@@ -21,7 +21,6 @@ Public API highlights
 
 from .core import (
     AppendReport,
-    AsyncConfig,
     CacheConfig,
     ExecutionConfig,
     IncrementalConfig,
@@ -53,7 +52,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AppendReport",
-    "AsyncConfig",
     "Attribute",
     "AttributeKind",
     "CacheConfig",

@@ -53,7 +53,9 @@ from .core import (
     RemoteConfig,
     Taxonomy,
 )
+from .core.partitioner import PARTITION_METHODS
 from .data import generate_credit_table
+from .engine import EXECUTOR_NAMES
 from .table import load_csv, save_csv
 
 
@@ -84,17 +86,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated columns to force categorical",
     )
     mine.add_argument(
-        "--min-support", type=float, default=0.1, metavar="FRAC"
+        "--min-support", type=float, default=MinerConfig.min_support,
+        metavar="FRAC",
     )
     mine.add_argument(
-        "--min-confidence", type=float, default=0.5, metavar="FRAC"
+        "--min-confidence", type=float,
+        default=MinerConfig.min_confidence, metavar="FRAC",
     )
     mine.add_argument(
-        "--max-support", type=float, default=0.4, metavar="FRAC",
+        "--max-support", type=float, default=MinerConfig.max_support,
+        metavar="FRAC",
         help="stop combining adjacent intervals beyond this support",
     )
     mine.add_argument(
-        "--completeness", type=float, default=1.5, metavar="K",
+        "--completeness", type=float,
+        default=MinerConfig.partial_completeness, metavar="K",
         help="partial completeness level (drives interval counts)",
     )
     mine.add_argument(
@@ -117,14 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--partition-method",
-        choices=("equidepth", "equiwidth", "equicardinality", "cluster"),
-        default="equidepth",
+        choices=PARTITION_METHODS,
+        default=MinerConfig.partition_method,
         help="base-interval construction (equidepth = paper's Lemma 4)",
     )
     mine.add_argument(
         "--executor",
-        choices=("serial", "parallel", "remote"),
-        default="serial",
+        choices=EXECUTOR_NAMES,
+        default=ExecutionConfig.executor,
         help=(
             "execution engine: in-process (default), a process pool, "
             "or a worker fleet named by --workers"

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import os
 import time
 
 from ..obs import NULL_TRACER
@@ -238,14 +239,16 @@ class MiningJobRunner:
         observability=None,
         max_retained_jobs: int | None = None,
     ) -> None:
-        from .config import AsyncConfig, CacheConfig
+        from .config import CacheConfig
 
-        limits = AsyncConfig(
-            max_concurrent_jobs=max_concurrent_jobs,
-            job_timeout=job_timeout,
-        )
-        self.max_concurrent_jobs = limits.resolved_max_concurrent_jobs
-        self.job_timeout = limits.job_timeout
+        if max_concurrent_jobs is not None and max_concurrent_jobs < 1:
+            raise ValueError(
+                f"max_concurrent_jobs must be >= 1, got {max_concurrent_jobs}"
+            )
+        if job_timeout is not None and job_timeout <= 0:
+            raise ValueError(f"job_timeout must be > 0, got {job_timeout}")
+        self.max_concurrent_jobs = max_concurrent_jobs or os.cpu_count() or 1
+        self.job_timeout = job_timeout
         self.cache = cache if cache is not None else CacheConfig().build()
         self.observability = observability
         self.max_retained_jobs = max_retained_jobs
@@ -255,21 +258,6 @@ class MiningJobRunner:
         self._owns_offload = offload is None
         self._semaphore: asyncio.Semaphore | None = None
         self._ids = itertools.count(1)
-
-    @classmethod
-    def from_config(cls, config: MinerConfig) -> "MiningJobRunner":
-        """Build a runner from a config's operational blocks.
-
-        Reads ``async_mining``, ``cache`` and ``observability`` — the
-        built observability bundle (or ``None``) is shared by every job
-        the runner executes.
-        """
-        return cls(
-            max_concurrent_jobs=config.async_mining.max_concurrent_jobs,
-            job_timeout=config.async_mining.job_timeout,
-            cache=config.cache.build(),
-            observability=config.observability.build(),
-        )
 
     def _ensure_started(self) -> None:
         if self._semaphore is None:
@@ -296,7 +284,8 @@ class MiningJobRunner:
         """Queue one mining job; return its handle immediately.
 
         ``config``/``overrides`` follow
-        :func:`~repro.core.miner.mine_quantitative_rules` exactly.
+        :func:`~repro.core.miner.mine_quantitative_rules` exactly: the
+        keywords are :class:`~repro.core.config.MinerConfig`'s fields.
         ``timeout`` overrides the runner's default budget for this job;
         ``progress`` receives a :class:`~repro.engine.StageEvent` per
         completed stage; ``status_hook`` is called with the job on

@@ -9,16 +9,23 @@ pruning (Section 4).
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..engine.executor import EXECUTOR_NAMES
+from ..engine.remote import (
+    DEFAULT_BACKOFF_SECONDS,
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_TASK_TIMEOUT,
+    parse_worker_address,
+)
+from .partitioner import PARTITION_METHODS
 
 #: Interest-mode constants (Section 4: "The user can specify whether it
 #: should be support and confidence, or support or confidence".)
 SUPPORT_OR_CONFIDENCE = "support_or_confidence"
 SUPPORT_AND_CONFIDENCE = "support_and_confidence"
-
-#: Executor names understood by the execution engine.
-EXECUTORS = ("serial", "parallel", "remote")
 
 #: Artifact-cache backends understood by :class:`CacheConfig`.
 CACHE_BACKENDS = ("memory", "disk", "none")
@@ -106,9 +113,10 @@ class ExecutionConfig:
     rule_block_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
+        if self.executor not in EXECUTOR_NAMES:
             raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
+                f"executor must be one of {EXECUTOR_NAMES}, "
+                f"got {self.executor!r}"
             )
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError(
@@ -163,9 +171,9 @@ class RemoteConfig:
     """
 
     workers: tuple = ()
-    task_timeout: float = 30.0
-    max_retries: int = 3
-    backoff_seconds: float = 0.1
+    task_timeout: float = DEFAULT_TASK_TIMEOUT
+    max_retries: int = DEFAULT_MAX_RETRIES
+    backoff_seconds: float = DEFAULT_BACKOFF_SECONDS
     fallback_local: bool = True
 
     def __post_init__(self) -> None:
@@ -175,8 +183,6 @@ class RemoteConfig:
             )
         else:
             self.workers = tuple(str(w) for w in self.workers)
-        from ..engine.remote import parse_worker_address
-
         for address in self.workers:
             parse_worker_address(address)  # raises ValueError if bad
         if self.task_timeout <= 0:
@@ -191,50 +197,6 @@ class RemoteConfig:
             raise ValueError(
                 f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
             )
-
-
-@dataclass
-class AsyncConfig:
-    """How the asyncio front end multiplexes concurrent mining jobs.
-
-    Parameters
-    ----------
-    max_concurrent_jobs:
-        Upper bound on jobs mining at the same time in one
-        :class:`~repro.core.async_miner.MiningJobRunner` (a semaphore;
-        excess submissions queue).  ``None`` uses the host's core count.
-    job_timeout:
-        Default per-job wall-clock budget in seconds; ``None`` means no
-        timeout.  A job exceeding it is cancelled at the next stage
-        boundary and reports ``"timed_out"``.  Individual submissions
-        may override this.
-
-    Like the execution and cache blocks, this block is purely
-    operational: it decides when and how concurrently jobs run, never
-    what they compute, so it participates in no cache fingerprint.
-    """
-
-    max_concurrent_jobs: int | None = None
-    job_timeout: float | None = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.max_concurrent_jobs is not None
-            and self.max_concurrent_jobs < 1
-        ):
-            raise ValueError(
-                "max_concurrent_jobs must be >= 1, "
-                f"got {self.max_concurrent_jobs}"
-            )
-        if self.job_timeout is not None and self.job_timeout <= 0:
-            raise ValueError(
-                f"job_timeout must be > 0, got {self.job_timeout}"
-            )
-
-    @property
-    def resolved_max_concurrent_jobs(self) -> int:
-        """Concrete concurrency bound (``None`` means the core count)."""
-        return self.max_concurrent_jobs or os.cpu_count() or 1
 
 
 @dataclass
@@ -395,7 +357,7 @@ class ObsConfig:
         :class:`~repro.obs.TelemetryPusher`; setting it alone enables
         observability, like the export paths.
 
-    Like the execution, cache and async blocks, this block is purely
+    Like the execution and cache blocks, this block is purely
     operational — it observes a run without changing what it computes —
     so it participates in no cache fingerprint (property-tested in
     ``tests/test_fingerprint.py``).
@@ -454,6 +416,18 @@ class ObsConfig:
             metrics_path=self.metrics_path,
             otlp_endpoint=self.otlp_endpoint,
         )
+
+
+#: The operational blocks of :class:`MinerConfig`, by field name.  Each
+#: is given as its block object, a dict of its fields, or ``None`` for
+#: the block's defaults.
+CONFIG_BLOCKS = {
+    "execution": ExecutionConfig,
+    "cache": CacheConfig,
+    "observability": ObsConfig,
+    "incremental": IncrementalConfig,
+    "remote": RemoteConfig,
+}
 
 
 @dataclass
@@ -542,11 +516,6 @@ class MinerConfig:
         its fields, or ``None`` for the in-memory default.  Also purely
         operational: a cache hit restores exactly what the stage would
         have produced.
-    async_mining:
-        How the asyncio front end multiplexes concurrent jobs (see
-        :class:`AsyncConfig`).  An :class:`AsyncConfig`, a plain dict of
-        its fields, or ``None`` for the defaults.  Purely operational
-        like the other engine blocks.
     observability:
         What the tracing/metrics layer records and where it exports
         (see :class:`ObsConfig`).  An :class:`ObsConfig`, a plain dict
@@ -582,68 +551,24 @@ class MinerConfig:
     taxonomies: dict | None = None
     lemma1_confidence_adjustment: bool = False
     target: str | None = None
-    execution: ExecutionConfig | None = field(default=None)
-    cache: CacheConfig | None = field(default=None)
-    async_mining: AsyncConfig | None = field(default=None)
-    observability: ObsConfig | None = field(default=None)
-    incremental: IncrementalConfig | None = field(default=None)
-    remote: RemoteConfig | None = field(default=None)
+    execution: ExecutionConfig | None = None
+    cache: CacheConfig | None = None
+    observability: ObsConfig | None = None
+    incremental: IncrementalConfig | None = None
+    remote: RemoteConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.execution is None:
-            self.execution = ExecutionConfig()
-        elif isinstance(self.execution, dict):
-            self.execution = ExecutionConfig(**self.execution)
-        elif not isinstance(self.execution, ExecutionConfig):
-            raise TypeError(
-                "execution must be an ExecutionConfig, a dict of its "
-                f"fields, or None; got {type(self.execution).__name__}"
-            )
-        if self.cache is None:
-            self.cache = CacheConfig()
-        elif isinstance(self.cache, dict):
-            self.cache = CacheConfig(**self.cache)
-        elif not isinstance(self.cache, CacheConfig):
-            raise TypeError(
-                "cache must be a CacheConfig, a dict of its fields, or "
-                f"None; got {type(self.cache).__name__}"
-            )
-        if self.async_mining is None:
-            self.async_mining = AsyncConfig()
-        elif isinstance(self.async_mining, dict):
-            self.async_mining = AsyncConfig(**self.async_mining)
-        elif not isinstance(self.async_mining, AsyncConfig):
-            raise TypeError(
-                "async_mining must be an AsyncConfig, a dict of its "
-                f"fields, or None; got {type(self.async_mining).__name__}"
-            )
-        if self.observability is None:
-            self.observability = ObsConfig()
-        elif isinstance(self.observability, dict):
-            self.observability = ObsConfig(**self.observability)
-        elif not isinstance(self.observability, ObsConfig):
-            raise TypeError(
-                "observability must be an ObsConfig, a dict of its "
-                f"fields, or None; got {type(self.observability).__name__}"
-            )
-        if self.incremental is None:
-            self.incremental = IncrementalConfig()
-        elif isinstance(self.incremental, dict):
-            self.incremental = IncrementalConfig(**self.incremental)
-        elif not isinstance(self.incremental, IncrementalConfig):
-            raise TypeError(
-                "incremental must be an IncrementalConfig, a dict of its "
-                f"fields, or None; got {type(self.incremental).__name__}"
-            )
-        if self.remote is None:
-            self.remote = RemoteConfig()
-        elif isinstance(self.remote, dict):
-            self.remote = RemoteConfig(**self.remote)
-        elif not isinstance(self.remote, RemoteConfig):
-            raise TypeError(
-                "remote must be a RemoteConfig, a dict of its fields, "
-                f"or None; got {type(self.remote).__name__}"
-            )
+        for name, block_type in CONFIG_BLOCKS.items():
+            block = getattr(self, name)
+            if block is None:
+                setattr(self, name, block_type())
+            elif isinstance(block, dict):
+                setattr(self, name, block_type(**block))
+            elif not isinstance(block, block_type):
+                raise TypeError(
+                    f"{name} must be one of: {block_type.__name__}, a dict "
+                    f"of its fields, or None; got {type(block).__name__}"
+                )
         if self.execution.executor == "remote" and not self.remote.workers:
             raise ValueError(
                 "the remote executor needs remote.workers "
@@ -658,8 +583,9 @@ class MinerConfig:
             # Shard-granular count artifacts need one entry per shard
             # per counting stage; the plain 64-entry default would evict
             # them between an append and the re-mine that should reuse
-            # them.  An explicit max_entries always wins.
-            self.cache.max_entries = 4096
+            # them.  An explicit max_entries always wins.  The block is
+            # copied, not adjusted in place: the caller may share it.
+            self.cache = dataclasses.replace(self.cache, max_entries=4096)
         if not 0.0 < self.min_support <= 1.0:
             raise ValueError(
                 f"min_support must be in (0, 1], got {self.min_support}"
@@ -686,7 +612,7 @@ class MinerConfig:
             SUPPORT_AND_CONFIDENCE,
         ):
             raise ValueError(f"unknown interest_mode {self.interest_mode!r}")
-        if self.partition_method not in ("equidepth", "equiwidth", "equicardinality", "cluster"):
+        if self.partition_method not in PARTITION_METHODS:
             raise ValueError(
                 f"unknown partition_method {self.partition_method!r}"
             )
@@ -716,13 +642,10 @@ class MinerConfig:
         through as given; JSON transport normalizes any tuples in it to
         lists (the partitioner accepts either).
         """
-        import dataclasses
-
         out = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.name in ("execution", "cache", "async_mining",
-                          "observability", "incremental", "remote"):
+            if f.name in CONFIG_BLOCKS:
                 value = dataclasses.asdict(value)
             elif f.name == "taxonomies":
                 value = (
@@ -740,15 +663,15 @@ class MinerConfig:
         Unknown keys are rejected (a mistyped field in a job submission
         must fail loudly, not silently mine with defaults); nested
         blocks may be dicts (normalized by ``__post_init__``) and
-        taxonomies are rebuilt from their edge sets.  A ``counting`` key,
-        written by versions that let the caller pick the counting
-        structure, is dropped: that choice never changed the output, so
-        stored job journals and result documents still load.
+        taxonomies are rebuilt from their edge sets.  Keys of retired
+        options are dropped, so stored job journals and result documents
+        still load: ``counting`` (the caller's pick of counting
+        structure) and ``async_mining`` (a concurrency block nothing in
+        a mine read).  Neither ever changed the output.
         """
-        import dataclasses
-
         kwargs = dict(data)
-        kwargs.pop("counting", None)
+        for retired in ("counting", "async_mining"):
+            kwargs.pop(retired, None)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(kwargs) - known
         if unknown:

@@ -28,15 +28,7 @@ from .apriori_quant import (
     build_engine_context,
     resolve_target_attribute,
 )
-from .config import (
-    AsyncConfig,
-    CacheConfig,
-    ExecutionConfig,
-    IncrementalConfig,
-    MinerConfig,
-    ObsConfig,
-    RemoteConfig,
-)
+from .config import MinerConfig
 from .frequent_items import FrequentItems
 from .interest import InterestEvaluator, InterestFilterStage
 from .mapper import TableMapper
@@ -609,31 +601,6 @@ class QuantitativeMiner:
         )
 
 
-def _fold_block_overrides(
-    overrides: dict, block: str, block_type, flat_fields
-) -> None:
-    """Fold flat engine-knob overrides into their config block, in place.
-
-    ``flat_fields`` maps each accepted flat keyword to the block field
-    it sets (``{"cache_dir": "directory", ...}``).  Mixing flat
-    overrides with an explicit ``block=`` keyword is rejected, exactly
-    as the historical inline logic did.
-    """
-    block_overrides = {
-        field_name: overrides.pop(flat_name)
-        for flat_name, field_name in flat_fields.items()
-        if flat_name in overrides
-    }
-    if block_overrides:
-        if block in overrides:
-            flats = "/".join(flat_fields)
-            raise TypeError(
-                f"pass either a {block}= block or the flat "
-                f"{flats} overrides, not both"
-            )
-        overrides[block] = block_type(**block_overrides)
-
-
 def _resolve_config(
     config: MinerConfig | None, overrides: dict
 ) -> MinerConfig:
@@ -644,82 +611,6 @@ def _resolve_config(
                 "pass either a MinerConfig or keyword overrides, not both"
             )
         return config
-    if (
-        "workers" in overrides
-        and "executor" not in overrides
-        and "execution" not in overrides
-    ):
-        # Naming a worker fleet is an unambiguous ask for the remote
-        # executor; requiring both flags would just invite the
-        # silent-no-op of a serial run with an unused fleet.
-        overrides["executor"] = "remote"
-    _fold_block_overrides(
-        overrides,
-        "execution",
-        ExecutionConfig,
-        {
-            "executor": "executor",
-            "num_workers": "num_workers",
-            "shard_size": "shard_size",
-            "rule_block_size": "rule_block_size",
-        },
-    )
-    _fold_block_overrides(
-        overrides,
-        "cache",
-        CacheConfig,
-        {
-            "cache_enabled": "enabled",
-            "cache_backend": "backend",
-            "cache_max_entries": "max_entries",
-            "cache_dir": "directory",
-            "cache_max_bytes": "max_bytes",
-        },
-    )
-    _fold_block_overrides(
-        overrides,
-        "remote",
-        RemoteConfig,
-        {
-            "workers": "workers",
-            "remote_task_timeout": "task_timeout",
-            "remote_max_retries": "max_retries",
-            "remote_backoff_seconds": "backoff_seconds",
-            "remote_fallback_local": "fallback_local",
-        },
-    )
-    _fold_block_overrides(
-        overrides,
-        "incremental",
-        IncrementalConfig,
-        {
-            "incremental_enabled": "enabled",
-            "incremental_shard_size": "shard_size",
-            "k_drift_budget": "k_drift_budget",
-        },
-    )
-    _fold_block_overrides(
-        overrides,
-        "async_mining",
-        AsyncConfig,
-        {
-            "max_concurrent_jobs": "max_concurrent_jobs",
-            "job_timeout": "job_timeout",
-        },
-    )
-    _fold_block_overrides(
-        overrides,
-        "observability",
-        ObsConfig,
-        {
-            "obs_enabled": "enabled",
-            "trace_path": "trace_path",
-            "chrome_trace_path": "chrome_trace_path",
-            "metrics_path": "metrics_path",
-            "log_level": "log_level",
-            "otlp_endpoint": "otlp_endpoint",
-        },
-    )
     return MinerConfig(**overrides)
 
 
@@ -729,20 +620,11 @@ def mine_quantitative_rules(
     """One-call API: encode ``table`` and mine with ``config``.
 
     Keyword overrides build a :class:`MinerConfig` when none is given,
-    e.g. ``mine_quantitative_rules(table, min_support=0.2)``.  The
-    execution-engine knobs are accepted directly —
-    ``mine_quantitative_rules(table, executor="parallel", num_workers=4)``
-    — and folded into the config's ``execution`` block; likewise the
-    cache knobs (``cache_enabled``, ``cache_backend``, ``cache_dir``,
-    ``cache_max_entries``) fold into its ``cache`` block, the remote
-    knobs (``workers`` — which alone implies ``executor="remote"`` —
-    ``remote_task_timeout``, ``remote_max_retries``,
-    ``remote_backoff_seconds``, ``remote_fallback_local``) into its
-    ``remote`` block, the async knobs (``max_concurrent_jobs``,
-    ``job_timeout``) into its ``async_mining`` block, and the
-    observability knobs (``obs_enabled``, ``trace_path``,
-    ``chrome_trace_path``, ``metrics_path``, ``log_level``,
-    ``otlp_endpoint``) into its ``observability`` block.
+    so they are exactly its fields, e.g.
+    ``mine_quantitative_rules(table, min_support=0.2)``.  An operational
+    block is passed as its block object or as a dict of its fields:
+    ``mine_quantitative_rules(table, execution={"executor": "parallel",
+    "num_workers": 4})``.
     """
     config = _resolve_config(config, overrides)
     return QuantitativeMiner(table, config).mine()
@@ -759,16 +641,18 @@ async def mine_quantitative_rules_async(
 ) -> MiningResult:
     """One-call async API: ``await`` an encode-and-mine of ``table``.
 
-    Accepts exactly the configs and flat overrides of
+    Accepts the configs and keyword overrides of
     :func:`mine_quantitative_rules` and returns a bit-identical
     :class:`MiningResult`; the pipeline runs off the event loop (table
     encoding and every stage execute on ``offload`` or the loop's
     default thread pool).  ``progress`` receives a
-    :class:`~repro.engine.StageEvent` per completed stage; ``cache``
-    injects a shared :class:`~repro.engine.ArtifactCache` so concurrent
-    calls reuse each other's warm stages (see
+    :class:`~repro.engine.StageEvent` per completed stage.  ``cache`` is
+    this function's own parameter, not the config block: it injects a
+    shared :class:`~repro.engine.ArtifactCache` so concurrent calls
+    reuse each other's warm stages, and the ``cache`` block goes in
+    through ``config=``.  See
     :class:`~repro.core.async_miner.MiningJobRunner` for the managed
-    version with concurrency limits, timeouts and cancellation).
+    version with concurrency limits, timeouts and cancellation.
     """
     import asyncio
 

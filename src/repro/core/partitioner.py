@@ -191,6 +191,24 @@ def equi_cardinality(column, num_intervals: int) -> Partitioning:
     return Partitioning(edges=tuple(edges), partitioned=True)
 
 
+def _cluster(column, num_intervals: int) -> Partitioning:
+    # Imported on use: ``clustering`` imports this module.
+    from .clustering import cluster_partition
+
+    return cluster_partition(column, num_intervals)
+
+
+_METHODS = {
+    "equidepth": equi_depth,
+    "equiwidth": equi_width,
+    "equicardinality": equi_cardinality,
+    "cluster": _cluster,
+}
+
+#: Names :func:`partition_column` dispatches on.
+PARTITION_METHODS = tuple(_METHODS)
+
+
 def partition_column(column, num_intervals: int, method: str = "equidepth") -> Partitioning:
     """Dispatch to a partitioning method by name.
 
@@ -199,21 +217,12 @@ def partition_column(column, num_intervals: int, method: str = "equidepth") -> P
     (the 1-D k-means exploration of the paper's future-work section; see
     :mod:`repro.core.clustering`).
     """
-    methods = {
-        "equidepth": equi_depth,
-        "equiwidth": equi_width,
-        "equicardinality": equi_cardinality,
-    }
-    if method == "cluster":
-        from .clustering import cluster_partition
-
-        return cluster_partition(column, num_intervals)
     try:
-        fn = methods[method]
+        fn = _METHODS[method]
     except KeyError:
         raise ValueError(
             f"unknown partition method {method!r}; "
-            f"available: {sorted(methods) + ['cluster']}"
+            f"available: {sorted(_METHODS)}"
         ) from None
     return fn(column, num_intervals)
 

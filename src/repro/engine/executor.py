@@ -143,17 +143,6 @@ class ParallelExecutor(Executor):
             self._store = None
 
 
-def _remote_option(remote, key: str, default):
-    """Read one remote option off a config block, dict or ``None``."""
-    if remote is None:
-        return default
-    if isinstance(remote, dict):
-        value = remote.get(key, default)
-    else:
-        value = getattr(remote, key, default)
-    return default if value is None else value
-
-
 def resolve_executor(
     name: str = "serial",
     num_workers: int | None = None,
@@ -161,41 +150,28 @@ def resolve_executor(
 ) -> Executor:
     """Build the executor a configuration names.
 
-    ``remote`` carries the distributed options (a
-    :class:`~repro.core.config.RemoteConfig`, a plain dict of its
-    fields, or ``None``) and is only consulted when ``name`` is
-    ``"remote"`` — its ``workers`` list is then required.
+    ``remote`` is the :class:`~repro.core.config.RemoteConfig` block
+    carrying the distributed options, and is only consulted when
+    ``name`` is ``"remote"`` — its ``workers`` are then required.
     """
     if name == "serial":
         return SerialExecutor()
     if name == "parallel":
         return ParallelExecutor(num_workers)
     if name == "remote":
-        from .remote import (
-            DEFAULT_BACKOFF_SECONDS,
-            DEFAULT_MAX_RETRIES,
-            DEFAULT_TASK_TIMEOUT,
-            RemoteExecutor,
-        )
+        from .remote import RemoteExecutor
 
-        workers = tuple(_remote_option(remote, "workers", ()) or ())
-        if not workers:
+        if remote is None or not remote.workers:
             raise ValueError(
                 "the remote executor needs worker addresses "
                 "(remote.workers / --workers host:port,...)"
             )
         return RemoteExecutor(
-            workers,
-            task_timeout=_remote_option(
-                remote, "task_timeout", DEFAULT_TASK_TIMEOUT
-            ),
-            max_retries=_remote_option(
-                remote, "max_retries", DEFAULT_MAX_RETRIES
-            ),
-            backoff_seconds=_remote_option(
-                remote, "backoff_seconds", DEFAULT_BACKOFF_SECONDS
-            ),
-            fallback_local=_remote_option(remote, "fallback_local", True),
+            remote.workers,
+            task_timeout=remote.task_timeout,
+            max_retries=remote.max_retries,
+            backoff_seconds=remote.backoff_seconds,
+            fallback_local=remote.fallback_local,
         )
     raise ValueError(
         f"executor must be one of {EXECUTOR_NAMES}, got {name!r}"

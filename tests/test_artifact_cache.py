@@ -249,12 +249,14 @@ class TestEngineIntegration:
         from repro.core import mine_quantitative_rules
 
         result = mine_quantitative_rules(
-            small_table(), min_support=0.2, cache_enabled=False
+            small_table(), min_support=0.2, cache={"enabled": False}
         )
         events = result.stats.execution.stage_cache_events
         assert set(events.values()) == {"skipped"}
         result = mine_quantitative_rules(
-            small_table(), min_support=0.2, cache_dir=str(tmp_path)
+            small_table(),
+            min_support=0.2,
+            cache={"directory": str(tmp_path)},
         )
         assert any(tmp_path.iterdir())
 
@@ -263,7 +265,9 @@ class TestEngineIntegration:
 
         from repro.core import mine_quantitative_rules
 
-        with pytest.raises(TypeError):
+        # A cache field passed flat is an unknown keyword, with or
+        # without the block beside it.
+        with pytest.raises(TypeError, match="'cache_enabled'"):
             mine_quantitative_rules(
                 small_table(),
                 cache_enabled=False,

@@ -13,7 +13,6 @@ via ``asyncio.run``.
 """
 
 import asyncio
-import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -109,15 +108,14 @@ class TestAsyncMatchesSync:
         )
         assert_identical(async_result, sync_result)
 
-    def test_flat_overrides_match_sync_path(self, tmp_path):
+    def test_flat_overrides_match_sync_path(self):
+        # Blocks go in as dicts; not ``cache``, which on the async call
+        # is the injected ArtifactCache.
         table = small_table()
-        sync_result = mine_quantitative_rules(
-            table, min_support=0.2, cache_dir=str(tmp_path)
-        )
+        overrides = dict(min_support=0.2, execution={"shard_size": 16})
+        sync_result = mine_quantitative_rules(table, **overrides)
         async_result = asyncio.run(
-            mine_quantitative_rules_async(
-                table, min_support=0.2, cache_dir=str(tmp_path)
-            )
+            mine_quantitative_rules_async(table, **overrides)
         )
         assert_identical(async_result, sync_result)
 
@@ -125,9 +123,7 @@ class TestAsyncMatchesSync:
         with pytest.raises(TypeError, match="not both"):
             asyncio.run(
                 mine_quantitative_rules_async(
-                    small_table(),
-                    MinerConfig(async_mining={"max_concurrent_jobs": 2}),
-                    max_concurrent_jobs=3,
+                    small_table(), MinerConfig(), min_support=0.3
                 )
             )
 
@@ -404,59 +400,16 @@ class TestJobRunner:
         finally:
             pool.shutdown()
 
-    def test_from_config_reads_async_block(self):
-        config = MinerConfig(
-            async_mining={"max_concurrent_jobs": 2, "job_timeout": 30.0}
-        )
-        runner = MiningJobRunner.from_config(config)
-        assert runner.max_concurrent_jobs == 2
-        assert runner.job_timeout == 30.0
+    def test_limits_validated(self):
+        with pytest.raises(ValueError, match="max_concurrent_jobs"):
+            MiningJobRunner(max_concurrent_jobs=0)
+        with pytest.raises(ValueError, match="job_timeout"):
+            MiningJobRunner(job_timeout=0)
 
     def test_submit_requires_running_loop(self):
         runner = MiningJobRunner(max_concurrent_jobs=1)
         with pytest.raises(RuntimeError):
             runner.submit(small_table(), self.config())
-
-
-class TestAsyncConfigBlock:
-    def test_defaults_resolve(self):
-        config = MinerConfig()
-        assert config.async_mining.max_concurrent_jobs is None
-        assert config.async_mining.resolved_max_concurrent_jobs >= 1
-        assert config.async_mining.job_timeout is None
-
-    def test_dict_normalization(self):
-        config = MinerConfig(async_mining={"max_concurrent_jobs": 4})
-        assert config.async_mining.max_concurrent_jobs == 4
-
-    def test_validation(self):
-        from repro.core import AsyncConfig
-
-        with pytest.raises(ValueError):
-            AsyncConfig(max_concurrent_jobs=0)
-        with pytest.raises(ValueError):
-            AsyncConfig(job_timeout=0.0)
-        with pytest.raises(TypeError):
-            MinerConfig(async_mining="fast")
-
-    def test_async_block_not_in_cache_key(self, tmp_path):
-        # Purely operational settings must not fragment the cache: the
-        # same mining work keyed under different concurrency limits
-        # would never share artifacts.
-        table = small_table()
-        cache = MemoryCache()
-        base = dict(min_support=0.2, min_confidence=0.4)
-
-        async def run(config):
-            return await mine_quantitative_rules_async(
-                table, MinerConfig(**config), cache=cache
-            )
-
-        asyncio.run(run(base))
-        asyncio.run(
-            run({**base, "async_mining": {"max_concurrent_jobs": 7}})
-        )
-        assert cache.hits > 0
 
 
 class TestCancelCompletionRace:

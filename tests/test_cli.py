@@ -1,8 +1,11 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import MinerConfig
 from repro.data import people_table
 from repro.table import save_csv
 
@@ -20,6 +23,13 @@ class TestParser:
         assert args.command == "mine"
         assert args.min_support == 0.1
         assert args.interest is None
+        config = MinerConfig()
+        assert args.min_support == config.min_support
+        assert args.min_confidence == config.min_confidence
+        assert args.max_support == config.max_support
+        assert args.completeness == config.partial_completeness
+        assert args.partition_method == config.partition_method
+        assert args.executor == config.execution.executor
 
     def test_generate_defaults(self):
         args = build_parser().parse_args(["generate", "out.csv"])
@@ -78,6 +88,58 @@ class TestMine:
         )
         assert rc == 0
         assert "interesting" in capsys.readouterr().err
+
+
+class TestEngineFlags:
+    """The execution and cache flags reach the run they configure."""
+
+    def run(self, people_csv, capsys, *extra):
+        rc = main(
+            [
+                "mine", str(people_csv),
+                "--min-support", "0.4",
+                "--max-support", "0.6",
+                "--categorical", "Married",
+                "--stats",
+                *extra,
+            ]
+        )
+        assert rc == 0
+        return capsys.readouterr()
+
+    @staticmethod
+    def cache_line(err):
+        return re.search(r"cache: +(\d+) hit\(s\), (\d+) miss", err).groups()
+
+    def test_jobs_runs_parallel_executor(self, people_csv, capsys):
+        serial = self.run(people_csv, capsys)
+        parallel = self.run(people_csv, capsys, "--jobs", "2")
+        assert re.search(r"executor: +serial \(1 worker", serial.err)
+        assert re.search(r"executor: +parallel \(2 worker", parallel.err)
+        assert parallel.out == serial.out
+
+    def test_remote_executor_needs_workers(self, people_csv):
+        with pytest.raises(SystemExit, match="--workers"):
+            main(["mine", str(people_csv), "--executor", "remote"])
+
+    def test_no_cache(self, people_csv, capsys):
+        cached = self.run(people_csv, capsys)
+        uncached = self.run(people_csv, capsys, "--no-cache")
+        assert self.cache_line(cached.err) == ("0", "4")
+        assert self.cache_line(uncached.err) == ("0", "0")
+        assert uncached.out == cached.out
+
+    def test_cache_dir_shared_across_invocations(
+        self, people_csv, tmp_path, capsys
+    ):
+        cache_dir = tmp_path / "cache"
+        first = self.run(people_csv, capsys, "--cache-dir", str(cache_dir))
+        assert any(cache_dir.iterdir())
+        second = self.run(people_csv, capsys, "--cache-dir", str(cache_dir))
+        assert self.cache_line(first.err) == ("0", "4")
+        hits, misses = self.cache_line(second.err)
+        assert int(hits) > 0 and misses == "0"
+        assert second.out == first.out
 
 
 class TestGenerate:

@@ -194,14 +194,46 @@ class TestObsConfigBlock:
             None,
             {
                 "min_support": 0.2,
-                "trace_path": "run.jsonl",
-                "log_level": "INFO",
+                "observability": {
+                    "trace_path": "run.jsonl",
+                    "log_level": "INFO",
+                },
             },
         )
         assert config.observability.trace_path == "run.jsonl"
         assert config.observability.log_level == "INFO"
         assert config.observability.enabled is True
         assert config.min_support == 0.2
+
+
+class TestBlocks:
+    """The operational blocks, as one table drives them."""
+
+    def test_every_block_coerced_and_type_checked(self):
+        from dataclasses import asdict
+
+        from repro.core.config import CONFIG_BLOCKS
+
+        for name, block_type in CONFIG_BLOCKS.items():
+            assert getattr(MinerConfig(), name) == block_type()
+            assert getattr(MinerConfig(**{name: {}}), name) == block_type()
+            block = block_type()
+            assert getattr(MinerConfig(**{name: block}), name) is block
+            with pytest.raises(TypeError, match=name):
+                MinerConfig(**{name: "fast"})
+            assert MinerConfig().to_dict()[name] == asdict(block_type())
+
+    def test_passed_cache_block_not_rewritten(self):
+        # Incremental mode raises the memory LRU's default bound on the
+        # config's own copy, not on the block the caller passed in.
+        from repro.core import CacheConfig
+
+        cache = CacheConfig()
+        incremental = MinerConfig(cache=cache, incremental={"enabled": True})
+        assert incremental.cache.max_entries == 4096
+        assert incremental.cache.build().max_entries == 4096
+        assert cache.max_entries is None
+        assert MinerConfig(cache=cache).cache.build().max_entries == 64
 
 
 class TestDictContract:

@@ -335,13 +335,15 @@ class TestExecutionConfig:
     def test_flat_overrides_build_execution_block(self):
         table = small_table(40)
         result = mine_quantitative_rules(
-            table, min_support=0.3, shard_size=11
+            table, min_support=0.3, execution={"shard_size": 11}
         )
         assert result.config.execution.shard_size == 11
 
     def test_flat_overrides_conflict_with_execution_block(self):
+        # The block is the one spelling: an execution field passed flat
+        # is an unknown keyword, with or without the block beside it.
         table = small_table(40)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="'executor'"):
             mine_quantitative_rules(
                 table,
                 executor="parallel",
@@ -375,9 +377,9 @@ class TestMinerIntegration:
         serial = mine_quantitative_rules(table, **common)
         parallel = mine_quantitative_rules(
             table,
-            executor="parallel",
-            num_workers=2,
-            shard_size=17,
+            execution={
+                "executor": "parallel", "num_workers": 2, "shard_size": 17
+            },
             **common,
         )
         assert parallel.support_counts == serial.support_counts

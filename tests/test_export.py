@@ -179,12 +179,25 @@ class TestResultDocuments:
         """Documents written while the counting structure was a config
         option carry ``"counting"``; they load, and the config they
         carry mines the same rules."""
+        self.assert_retired_key_loads(result, tmp_path, "counting", "bitmap")
+
+    def test_stored_async_block_still_loads(self, result, tmp_path):
+        """Documents written while ``async_mining`` was a config block
+        carry it; they load, and the config they carry mines the same
+        rules."""
+        self.assert_retired_key_loads(
+            result, tmp_path, "async_mining",
+            {"max_concurrent_jobs": None, "job_timeout": None},
+        )
+
+    @staticmethod
+    def assert_retired_key_loads(result, tmp_path, key, value):
         from repro.core.export import load_result_json, result_to_document
 
         document = result_to_document(result)
         current = tmp_path / "current.json"
         current.write_text(json.dumps(document))
-        document["config"]["counting"] = "bitmap"
+        document["config"][key] = value
         path = tmp_path / "old.json"
         path.write_text(json.dumps(document))
         decoded = load_result_json(path)

@@ -1,11 +1,15 @@
 """Integration tests for the miner facade (repro.core.miner)."""
 
+import asyncio
+
 import pytest
 
 from repro import (
     MinerConfig,
+    MiningJobRunner,
     QuantitativeMiner,
     mine_quantitative_rules,
+    mine_quantitative_rules_async,
 )
 from repro.data import (
     age_partition_edges,
@@ -35,6 +39,39 @@ def credit_result(credit_table, credit_config):
     return QuantitativeMiner(credit_table, credit_config).mine()
 
 
+#: Spellings the one-call APIs no longer take: flat aliases of the
+#: operational blocks' fields, and a block that no mine ever read.  Each
+#: value is one the alias once accepted.
+RETIRED_KEYWORDS = {
+    "executor": "parallel",
+    "num_workers": 2,
+    "shard_size": 16,
+    "rule_block_size": 4,
+    "cache_enabled": False,
+    "cache_backend": "none",
+    "cache_max_entries": 8,
+    "cache_dir": "cache",
+    "cache_max_bytes": 1 << 20,
+    "workers": "127.0.0.1:9",
+    "remote_task_timeout": 1.0,
+    "remote_max_retries": 0,
+    "remote_backoff_seconds": 0.0,
+    "remote_fallback_local": False,
+    "incremental_enabled": True,
+    "incremental_shard_size": 16,
+    "k_drift_budget": 0.5,
+    "max_concurrent_jobs": 2,
+    "job_timeout": 0.001,
+    "obs_enabled": True,
+    "trace_path": "run.jsonl",
+    "chrome_trace_path": "run.chrome.json",
+    "metrics_path": "metrics.json",
+    "log_level": "INFO",
+    "otlp_endpoint": "http://127.0.0.1:9",
+    "async_mining": {"max_concurrent_jobs": 2},
+}
+
+
 class TestOneCallApi:
     def test_keyword_overrides(self):
         result = mine_quantitative_rules(
@@ -51,6 +88,17 @@ class TestOneCallApi:
             mine_quantitative_rules(
                 people_table(), MinerConfig(), min_support=0.2
             )
+
+    @pytest.mark.parametrize("keyword", list(RETIRED_KEYWORDS))
+    def test_retired_keyword_rejected(self, keyword):
+        table = people_table()
+        override = {keyword: RETIRED_KEYWORDS[keyword]}
+        with pytest.raises(TypeError, match=f"'{keyword}'"):
+            mine_quantitative_rules(table, **override)
+        with pytest.raises(TypeError, match=f"'{keyword}'"):
+            asyncio.run(mine_quantitative_rules_async(table, **override))
+        with pytest.raises(TypeError, match=f"'{keyword}'"):
+            MiningJobRunner(max_concurrent_jobs=1).submit(table, **override)
 
 
 class TestResultInvariants:

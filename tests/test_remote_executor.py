@@ -23,11 +23,11 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import (
     MinerConfig,
     QuantitativeMiner,
     RemoteConfig,
-    mine_quantitative_rules,
 )
 from repro.data import generate_credit_table
 from repro.engine import (
@@ -46,6 +46,7 @@ from repro.serve import (
     MiningService,
     ShardWorker,
 )
+from repro.table import save_csv
 
 BASE = {
     "min_support": 0.3,
@@ -550,17 +551,30 @@ class TestEquivalence:
         assert second.stats.execution.remote_cache_hits > 0
 
     def test_workers_override_implies_remote_executor(
-        self, fleet, table, serial_results
+        self, fleet, table, tmp_path, capsys
     ):
+        # The CLI's --workers alone selects the remote executor.
         group = fleet(num_workers=2)
-        result = mine_quantitative_rules(
-            table,
-            workers=",".join(group.addresses),
-            shard_size=32,
-            **BASE,
-        )
-        assert_same_mining(result, serial_results["array"])
-        assert result.stats.execution.executor == "remote"
+        path = tmp_path / "credit.csv"
+        save_csv(table, path)
+        args = [
+            "mine", str(path),
+            "--min-support", str(BASE["min_support"]),
+            "--min-confidence", str(BASE["min_confidence"]),
+            "--max-itemset-size", str(BASE["max_itemset_size"]),
+            "--all-rules", "--stats",
+        ]
+        assert main(args) == 0
+        serial = capsys.readouterr()
+        assert main(
+            args
+            + ["--workers", ",".join(group.addresses), "--shard-size", "32"]
+        ) == 0
+        remote = capsys.readouterr()
+        assert "=>" in serial.out
+        assert remote.out == serial.out
+        assert "remote counting:" in remote.err
+        assert "remote counting:" not in serial.err
 
     def test_summary_mentions_remote_lane(self, fleet, table):
         group = fleet(num_workers=2)

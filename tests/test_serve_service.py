@@ -239,6 +239,21 @@ class TestRecovery:
     def test_recovery_accepts_stored_counting_choice(self, tmp_path):
         """A journaled config from when the counting structure was an
         option still recovers, and mines the same rules."""
+        self.assert_recovers(tmp_path, dict(CONFIG, counting="bitmap"))
+
+    def test_recovery_accepts_stored_async_block(self, tmp_path):
+        """A journaled config from when ``async_mining`` was a config
+        block still recovers, and mines the same rules."""
+        self.assert_recovers(
+            tmp_path,
+            dict(
+                CONFIG,
+                async_mining={"max_concurrent_jobs": 2, "job_timeout": None},
+            ),
+        )
+
+    @staticmethod
+    def assert_recovers(tmp_path, stored_config):
         store = DiskJobStore(tmp_path / "store")
         tables = TableRegistry(tmp_path / "tables")
         tables.put_csv("people", CSV, categorical=["married"])
@@ -246,7 +261,7 @@ class TestRecovery:
             JobRecord(
                 job_id="job-old",
                 table_ref="people",
-                config=dict(CONFIG, counting="bitmap"),
+                config=stored_config,
                 submitted_at=time.time(),
             )
         )

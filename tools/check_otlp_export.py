@@ -81,7 +81,7 @@ def main() -> int:
     try:
         table = generate_credit_table(NUM_RECORDS, seed=5)
         result = mine_quantitative_rules(
-            table, otlp_endpoint=endpoint, **CONFIG
+            table, observability={"otlp_endpoint": endpoint}, **CONFIG
         )
         obs = result.observability
         if obs is None or obs.pusher is None:
