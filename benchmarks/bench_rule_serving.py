@@ -11,13 +11,14 @@ Two halves, matching the two halves of ``repro.rules``:
 
 2. **Match/predict serving latency** over the mined ruleset: a
    :class:`~repro.rules.RuleIndex` per served-ruleset size answers a
-   stream of raw-record point queries on its R*-tree path and on the
+   stream of raw-record point queries on its array path (one range
+   compare per attribute over bound arrays in rank order) and on the
    linear-scan reference path.  Both paths must return identical
    ranked matches for every query; the benchmark reports p50/p99
    per-query latency and queries/sec for each size — the latency
-   curve — plus the index-over-linear speedup.  The tree's edge is
-   bounded on this workload: a credit record fires ~20% of the mined
-   rules, so a large share of each query is output, not search.
+   curve — plus the index-over-linear speedup.  A credit record fires
+   a large share of the mined rules, so no structure can prune much;
+   the arrays win by doing the per-rule test in numpy, not in Python.
 
 Results land in ``benchmarks/results/rule_serving.json`` via the
 shared reporter, and the headline numbers snapshot to

@@ -310,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument(
         "--linear", action="store_true",
         help=(
-            "answer by linear scan instead of the R*-tree index "
-            "(identical output; the index is only faster)"
+            "answer by linear scan instead of the index's bound "
+            "arrays (identical output; the index is only faster)"
         ),
     )
 

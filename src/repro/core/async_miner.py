@@ -31,6 +31,7 @@ import itertools
 import os
 import time
 
+from ..engine.cache import check_injected_cache
 from ..obs import NULL_TRACER
 from .config import MinerConfig
 from .miner import MiningResult, QuantitativeMiner, _resolve_config
@@ -249,6 +250,7 @@ class MiningJobRunner:
             raise ValueError(f"job_timeout must be > 0, got {job_timeout}")
         self.max_concurrent_jobs = max_concurrent_jobs or os.cpu_count() or 1
         self.job_timeout = job_timeout
+        check_injected_cache(cache)
         self.cache = cache if cache is not None else CacheConfig().build()
         self.observability = observability
         self.max_retained_jobs = max_retained_jobs

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 
 from ..engine import AsyncExecutionEngine, gc_orphaned_shard_artifacts
+from ..engine.cache import check_injected_cache
 from ..obs import NULL_TRACER
 from ..table import RelationalTable
 from .apriori_quant import (
@@ -228,6 +229,7 @@ class QuantitativeMiner:
         observability=None,
         span_parent=None,
     ) -> None:
+        check_injected_cache(cache)
         self._table = table
         self._config = config
         self._mapper = TableMapper(table, config)

@@ -83,6 +83,23 @@ class ArtifactCache(ABC):
         return False
 
 
+def check_injected_cache(cache) -> None:
+    """Raise ``TypeError`` unless ``cache`` can be injected as ``cache=``.
+
+    A miner or job runner takes an already-built :class:`ArtifactCache`
+    (or ``None``) as its ``cache=``.  A cache *block* — a
+    ``CacheConfig`` or a dict of its fields — is configuration and goes
+    in through ``config=``; caught here, it fails at construction rather
+    than deep inside the first cached stage.
+    """
+    if cache is not None and not isinstance(cache, ArtifactCache):
+        raise TypeError(
+            "cache= takes an ArtifactCache instance or None, got "
+            f"{type(cache).__name__}; pass the cache block through "
+            "config=, e.g. config=MinerConfig(cache={...})"
+        )
+
+
 class NullCache(ArtifactCache):
     """The cache that is not there: every get misses, puts are dropped."""
 

@@ -54,6 +54,14 @@ class _Node:
 class RStarTree:
     """An R*-tree over n-dimensional rectangles with attached values.
 
+    Support counting past the memory budget builds its trees with
+    :func:`~repro.rtree.bulk_load` and queries them with
+    :meth:`containing_point`; nothing in the package calls
+    :meth:`insert`.  Insertion stays because it is the [BKSS90]
+    structure itself: its ChooseSubtree, split and forced-reinsert
+    steps are what the substrate tests exercise, and an incrementally
+    built tree is the reference the bulk-loaded one is tested against.
+
     Parameters
     ----------
     ndim:

@@ -6,10 +6,10 @@ fire for *this record*, and what do they predict" — at interactive
 latency:
 
 - :class:`~repro.rules.index.RuleIndex` — range-containment index over
-  a ruleset's antecedents (R*-tree over the mapped code space, linear
-  scan as the proven-equivalent fallback), with ``match`` and
-  ``predict`` point queries, document/JSON round-trips and
-  content-addressed persistence.
+  a ruleset's antecedents (per-attribute bound arrays over the mapped
+  code space, linear scan as the proven-equivalent fallback), with
+  ``match`` and ``predict`` point queries, document/JSON round-trips
+  and content-addressed persistence.
 - :class:`~repro.rules.registry.RulesetRegistry` — named uploaded
   rulesets with per-content index caching, disk persistence and
   ``rules.*`` observability; the state behind ``/v1/rulesets``.

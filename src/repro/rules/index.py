@@ -5,9 +5,17 @@ the rule's antecedent — i.e. when the record's mapped integer codes fall
 inside the antecedent's per-attribute ranges.  Geometrically each
 antecedent is an axis-aligned box over the full attribute space
 (antecedent-free dimensions span everything), and "which rules fire" is
-a point-containment query — exactly the shape the counting phase already
-answers with :class:`~repro.rtree.RStarTree` (Section 5.2 of the source
-paper), so the index reuses that substrate.
+a point-containment query.
+
+Section 5.2 of the source paper answers that query with an R*-tree when
+a super-candidate's array does not fit in memory.  Served antecedents
+leave most dimensions unconstrained, so every box is wide and a tree
+prunes little: a credit record fires about one served rule in eight.
+:class:`RuleIndex` instead holds the boxes as arrays, one row per
+attribute and one column per rule in rank order — lower bounds, upper
+bounds and a "concludes on" mask.  A query is one range compare per
+attribute row, ANDed into one mask over the ruleset; its set positions
+are already in rank order.
 
 :class:`RuleIndex` ingests a :class:`~repro.core.miner.MiningResult` or
 an exported rule document (the ``"attributes"`` section added by
@@ -22,22 +30,23 @@ records with the same partitionings the miner used, and answers
   attribute, plus the top rule's consequent interval as the
   prediction.
 
-A linear scan over the rules answers the same queries without the tree
-(``use_index=False``); both paths are property-tested equivalent, and
-the benchmark in ``benchmarks/bench_rule_serving.py`` prices the gap.
-Indexes pickle cleanly and persist content-addressed through any
-:class:`~repro.engine.cache.ArtifactCache` (:meth:`~RuleIndex.save` /
-:meth:`~RuleIndex.load`).
+A linear scan over the rules answers the same queries without the
+arrays (``use_index=False``); both paths are property-tested
+equivalent, and the benchmark in ``benchmarks/bench_rule_serving.py``
+prices the gap.  Indexes pickle cleanly and persist content-addressed
+through any :class:`~repro.engine.cache.ArtifactCache`
+(:meth:`~RuleIndex.save` / :meth:`~RuleIndex.load`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..core.export import mappings_from_document, rule_from_dict
 from ..core.rules import QuantitativeRule
 from ..engine.fingerprint import fingerprint
-from ..rtree import Rect, RStarTree
 
 #: Mapped code standing in for "value missing / not encodable".  Real
 #: codes are >= 0 and antecedent ranges only cover real codes, so a
@@ -45,8 +54,10 @@ from ..rtree import Rect, RStarTree
 #: unconstrained dimensions of every rule box are widened to include it.
 MISSING_CODE = -1
 
-#: Cache-key prefix for persisted indexes (content-addressed).
-INDEX_CACHE_PREFIX = "ruleset-index:"
+#: Cache-key prefix for persisted indexes (content-addressed).  The
+#: version names the pickled layout: an index an older layout persisted
+#: sits under another key, so it is rebuilt, never served as this class.
+INDEX_CACHE_PREFIX = "ruleset-index-v2:"
 
 
 @dataclass(frozen=True)
@@ -81,17 +92,6 @@ class Prediction:
     score: float | None = None
 
 
-@dataclass
-class _IndexedRule:
-    rule: QuantitativeRule
-    score: float
-    lift: float | None
-    rank: int = field(default=0)
-    #: The (immutable) RuleMatch this rule fires as — built once, so a
-    #: query materializes no per-match objects on its hot path.
-    match: RuleMatch = field(default=None)
-
-
 class RuleIndex:
     """Range-containment index over a ruleset's antecedents.
 
@@ -108,9 +108,9 @@ class RuleIndex:
         Optional per-rule lift values aligned with ``rules`` (``None``
         entries allowed); missing lifts rank as 1.0.
     use_index:
-        ``False`` skips building the R*-tree and answers every query by
-        linear scan — the reference semantics the tree is tested
-        against.
+        ``False`` skips building the bound arrays and answers every
+        query by linear scan — the reference semantics the arrays are
+        tested against.
     """
 
     def __init__(
@@ -131,37 +131,27 @@ class RuleIndex:
             raise ValueError(
                 f"{len(rules)} rules but {len(lifts)} lift values"
             )
-        self._rules = [
-            _IndexedRule(
+        self._rules = rules
+        self._lifts = list(lifts)
+        # Ranking is fixed at build time: score descending, canonical
+        # rule order as the deterministic tie-break.  Both query paths
+        # walk the rules in this order, so neither sorts per query, and
+        # each rule's (immutable) RuleMatch is built once.
+        ranked = [
+            RuleMatch(
                 rule=rule,
                 score=rule.confidence * (1.0 if lift is None else lift),
                 lift=lift,
             )
-            for rule, lift in zip(rules, lifts)
+            for rule, lift in zip(rules, self._lifts)
         ]
-        # Ranking is fixed at build time: score descending, canonical
-        # rule order as the deterministic tie-break.  Matched subsets
-        # then sort by precomputed rank, identically on both paths.
-        by_rank = sorted(
-            range(len(self._rules)),
-            key=lambda i: (
-                -self._rules[i].score,
-                self._rules[i].rule.sort_key(),
-            ),
-        )
-        for rank, i in enumerate(by_rank):
-            self._rules[i].rank = rank
-        for indexed in self._rules:
-            indexed.match = RuleMatch(
-                rule=indexed.rule, score=indexed.score, lift=indexed.lift
-            )
-        # Flat position -> rank / RuleMatch lookups for the query hot
-        # path (bound-method sort key, no per-query object creation).
-        self._ranks = [indexed.rank for indexed in self._rules]
-        self._matches = [indexed.match for indexed in self._rules]
-        self._tree = None
-        if use_index and self._rules and self._mappings:
-            self._tree = self._build_tree()
+        ranked.sort(key=lambda m: (-m.score, m.rule.sort_key()))
+        # An object array, so a query's mask selects its matches at once.
+        self._ranked = np.empty(len(ranked), dtype=object)
+        self._ranked[:] = ranked
+        self._lo = self._hi = self._concludes = None
+        if use_index and ranked:
+            self._build_arrays()
 
     # ------------------------------------------------------------------
     # Construction
@@ -236,23 +226,25 @@ class RuleIndex:
             lifts.append(None if lift is None else float(lift))
         return cls(rules, mappings, lifts=lifts, use_index=use_index)
 
-    def _build_tree(self) -> RStarTree:
-        ndim = len(self._mappings)
-        tree = RStarTree(ndim=ndim)
-        # Base box: every dimension spans [MISSING_CODE, cardinality],
-        # one wider than the real code range on both sides, so an
-        # unconstrained dimension matches any code *and* the missing
-        # sentinel.  Antecedent items then narrow their dimensions.
-        base_lo = [float(MISSING_CODE)] * ndim
-        base_hi = [float(m.cardinality) for m in self._mappings]
-        for position, indexed in enumerate(self._rules):
-            lo = list(base_lo)
-            hi = list(base_hi)
-            for item in indexed.rule.antecedent:
-                lo[item.attribute] = float(item.lo)
-                hi[item.attribute] = float(item.hi)
-            tree.insert(Rect(lo, hi), position)
-        return tree
+    def _build_arrays(self) -> None:
+        # One row per attribute, one column per rule in rank order, so a
+        # query compares contiguous rows.  Base box: every dimension
+        # spans [MISSING_CODE, cardinality], one wider than the real
+        # code range on both sides, so an unconstrained dimension admits
+        # any code *and* the missing sentinel.  Antecedent items then
+        # narrow their dimensions.
+        shape = (len(self._mappings), len(self._ranked))
+        lo = np.full(shape, MISSING_CODE, dtype=np.int32)
+        hi = np.empty(shape, dtype=np.int32)
+        hi[:] = [[m.cardinality] for m in self._mappings]
+        concludes = np.zeros(shape, dtype=bool)
+        for column, match in enumerate(self._ranked):
+            for item in match.rule.antecedent:
+                lo[item.attribute, column] = item.lo
+                hi[item.attribute, column] = item.hi
+            for item in match.rule.consequent:
+                concludes[item.attribute, column] = True
+        self._lo, self._hi, self._concludes = lo, hi, concludes
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,8 +263,8 @@ class RuleIndex:
 
     @property
     def indexed(self) -> bool:
-        """Whether the R*-tree path is available."""
-        return self._tree is not None
+        """Whether the array path is available."""
+        return self._lo is not None
 
     @property
     def mappings(self) -> tuple:
@@ -280,14 +272,14 @@ class RuleIndex:
 
     def rules(self) -> list:
         """The served rules, in ingestion order."""
-        return [indexed.rule for indexed in self._rules]
+        return list(self._rules)
 
     def fingerprint(self) -> str:
         """Content address of this index (rules + encoding + lifts)."""
         return fingerprint(
-            "RuleIndexV1",
-            [indexed.rule for indexed in self._rules],
-            [indexed.lift for indexed in self._rules],
+            "RuleIndexV2",
+            self._rules,
+            self._lifts,
             [
                 (
                     m.name,
@@ -360,35 +352,40 @@ class RuleIndex:
     def match(self, record: dict, *, use_index: bool | None = None) -> list:
         """Every rule fired by ``record``, as ranked :class:`RuleMatch`.
 
-        ``use_index`` forces the R*-tree path (``True``; raises when
-        the index was built linear-only) or the linear scan (``False``)
-        — ``None`` uses the tree when available.  Both paths return the
+        ``use_index`` forces the array path (``True``; raises when the
+        index was built linear-only) or the linear scan (``False``) —
+        ``None`` uses the arrays when built.  Both paths return the
         identical list.
         """
-        codes = self.encode_record(record)
-        return self._match_codes(codes, use_index=use_index)
+        return self._fired(self.encode_record(record), None, use_index)
 
-    def _match_codes(self, codes, *, use_index: bool | None = None) -> list:
+    def _fired(self, codes, target, use_index) -> list:
+        """Ranked matches for ``codes``; concluding on ``target`` if set."""
         if use_index is None:
-            use_index = self._tree is not None
-        if use_index:
-            if self._tree is None:
-                raise ValueError(
-                    "this RuleIndex was built with use_index=False"
+            use_index = self._lo is not None
+        if not use_index:
+            return [
+                m
+                for m in self._ranked
+                if self._fires(m.rule, codes)
+                and (
+                    target is None
+                    or any(it.attribute == target for it in m.rule.consequent)
                 )
-            point = [
-                float(MISSING_CODE if c is None else c) for c in codes
             ]
-            positions = self._tree.containing_point(point)
+        if self._lo is None:
+            raise ValueError("this RuleIndex was built with use_index=False")
+        if target is None:
+            fired = np.ones(len(self._ranked), dtype=bool)
         else:
-            positions = [
-                position
-                for position, indexed in enumerate(self._rules)
-                if self._fires(indexed.rule, codes)
-            ]
-        positions.sort(key=self._ranks.__getitem__)
-        matches = self._matches
-        return [matches[p] for p in positions]
+            fired = self._concludes[target].copy()
+        admits = np.empty_like(fired)
+        for lo, hi, code in zip(self._lo, self._hi, codes):
+            if code is None:
+                code = MISSING_CODE
+            fired &= np.less_equal(lo, code, out=admits)
+            fired &= np.greater_equal(hi, code, out=admits)
+        return self._ranked[fired].tolist()
 
     @staticmethod
     def _fires(rule: QuantitativeRule, codes) -> bool:
@@ -420,11 +417,9 @@ class RuleIndex:
                 f"this ruleset covers {list(self.attribute_names)}"
             )
         target_idx = self._attr_index[target]
-        matches = [
-            m
-            for m in self.match(record, use_index=use_index)
-            if any(it.attribute == target_idx for it in m.rule.consequent)
-        ]
+        matches = self._fired(
+            self.encode_record(record), target_idx, use_index
+        )
         interval = display = confidence = score = None
         if matches:
             best = matches[0]

@@ -29,7 +29,7 @@ from pathlib import Path
 from ..core.export import write_json_atomic
 from ..engine.fingerprint import fingerprint
 from ..obs import DEFAULT_LATENCY_BUCKETS, NULL_METRICS, NULL_TRACER
-from .index import RuleIndex
+from .index import INDEX_CACHE_PREFIX, RuleIndex
 
 #: Same shape as the serve job store's id rule: leading alphanumeric,
 #: then filename-safe characters only, at most 100 total.  Anything that
@@ -175,15 +175,16 @@ class RulesetRegistry:
         index = self._indexes.get(fp)
         if index is not None:
             return index
+        key = INDEX_CACHE_PREFIX + fp
         if self._cache is not None:
-            index = RuleIndex.load(self._cache, "ruleset-index:" + fp)
+            index = RuleIndex.load(self._cache, key)
         if index is None:
             span = self._tracer.start_span("rules.build_index", kind="stage")
             index = RuleIndex.from_document(document)
             span.finish(num_rules=index.num_rules)
             self._metrics.counter("rules.indexes_built").increment()
             if self._cache is not None:
-                self._cache.put("ruleset-index:" + fp, index)
+                self._cache.put(key, index)
         self._indexes[fp] = index
         return index
 

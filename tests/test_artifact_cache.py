@@ -7,14 +7,22 @@ sweep against a shared cache and checks every result (including dict
 insertion order) against a fresh cache-free miner at the same point.
 """
 
+import asyncio
 import dataclasses
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CacheConfig, MinerConfig, QuantitativeMiner
+from repro.core import (
+    CacheConfig,
+    MinerConfig,
+    MiningJobRunner,
+    QuantitativeMiner,
+    mine_quantitative_rules_async,
+)
 from repro.engine import MISSING, DiskCache, MemoryCache, NullCache
 from repro.table import RelationalTable, TableSchema, categorical, quantitative
 
@@ -273,6 +281,34 @@ class TestEngineIntegration:
                 cache_enabled=False,
                 cache=CacheConfig(),
             )
+
+    @pytest.mark.parametrize(
+        "entry_point", ["miner", "async_one_call", "job_runner"]
+    )
+    @pytest.mark.parametrize(
+        "block",
+        [{"directory": "unused"}, CacheConfig(enabled=False)],
+        ids=["dict", "CacheConfig"],
+    )
+    def test_cache_block_injected_as_cache_fails_at_construction(
+        self, entry_point, block
+    ):
+        # ``cache=`` on these takes a built ArtifactCache; the cache
+        # block belongs in ``config=``, and the error says so.
+        config = MinerConfig(min_support=0.2)
+        construct = {
+            "miner": lambda: QuantitativeMiner(
+                small_table(), config, cache=block
+            ),
+            "async_one_call": lambda: asyncio.run(
+                mine_quantitative_rules_async(
+                    small_table(), config, cache=block
+                )
+            ),
+            "job_runner": lambda: MiningJobRunner(cache=block),
+        }[entry_point]
+        with pytest.raises(TypeError, match="config="):
+            construct()
 
 
 draws = st.lists(st.integers(0, 9), min_size=25, max_size=60)

@@ -1,22 +1,31 @@
 """RuleIndex: indexed point queries equal the linear-scan reference.
 
-The R*-tree path exists only for speed; its one correctness obligation
-is returning exactly what the per-rule antecedent scan returns, for any
-record — values present, missing, out of range, or unseen.  The rest of
-the suite covers construction (live result, exported document, pickle
-through an artifact cache — all three must answer identically), the
-prediction contract, encoding errors, and the registry's id hygiene.
+The array path exists only for speed; its one correctness obligation is
+returning exactly what the per-rule antecedent scan returns, for any
+record — values present, missing, out of range, or unseen — checked on
+a mined ruleset here and on hand-built ones by a hypothesis property.
+The rest of the suite covers construction (live result, exported
+document, pickle through an artifact cache — all three must answer
+identically), the prediction contract, encoding errors, and the
+registry's id hygiene and index persistence.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import mine_quantitative_rules
 from repro.core.export import result_to_document, rules_to_json
+from repro.core.items import make_item, make_itemset
+from repro.core.mapper import AttributeMapping
+from repro.core.partitioner import Partitioning
+from repro.core.rules import QuantitativeRule
 from repro.data import generate_credit_table
 from repro.engine.cache import MemoryCache
 from repro.obs import Observability
+from repro.rtree import RStarTree
 from repro.rules import (
     Prediction,
     RuleIndex,
@@ -24,6 +33,7 @@ from repro.rules import (
     document_fingerprint,
     validate_ruleset_id,
 )
+from repro.table.schema import AttributeKind
 
 CONFIG = dict(
     min_support=0.15,
@@ -78,18 +88,18 @@ class TestIndexEqualsLinearScan:
     def test_tree_and_scan_agree_on_every_record(self, index, records):
         fired = 0
         for record in records:
-            via_tree = index.match(record, use_index=True)
+            via_arrays = index.match(record, use_index=True)
             via_scan = index.match(record, use_index=False)
-            assert via_tree == via_scan
-            fired += len(via_tree)
+            assert via_arrays == via_scan
+            fired += len(via_arrays)
         assert fired > 0, "degenerate fixture: nothing ever fired"
 
     def test_linear_only_index_answers_identically(self, result, records):
         linear = RuleIndex.from_result(result, use_index=False)
-        tree = RuleIndex.from_result(result)
-        assert not linear.indexed and tree.indexed
+        arrays = RuleIndex.from_result(result)
+        assert not linear.indexed and arrays.indexed
         for record in records[:40]:
-            assert linear.match(record) == tree.match(record)
+            assert linear.match(record) == arrays.match(record)
 
     def test_forcing_tree_on_linear_only_index_fails(self, result):
         linear = RuleIndex.from_result(result, use_index=False)
@@ -261,3 +271,146 @@ class TestRulesetRegistry:
     def test_unknown_ruleset_raises_keyerror(self):
         with pytest.raises(KeyError):
             RulesetRegistry().document("missing")
+
+    def test_index_persisted_by_an_older_layout_is_rebuilt(self, result):
+        # The R*-tree layout pickled the same class with its tree in
+        # ``_tree``, under the unversioned key.  Served as the array
+        # layout it would fail its first query; the registry must
+        # rebuild instead.
+        document = result_to_document(result)
+        stale = RuleIndex.__new__(RuleIndex)
+        stale.__dict__.update(
+            _mappings=RuleIndex.from_document(document).mappings,
+            _rules=list(result.interesting_rules),
+            _tree=RStarTree(ndim=len(result.mapper.mappings)),
+        )
+        cache = MemoryCache()
+        cache.put("ruleset-index:" + document_fingerprint(document), stale)
+        observability = Observability()
+        registry = RulesetRegistry(cache=cache, observability=observability)
+        registry.put("credit", document)
+        built = observability.metrics.counter("rules.indexes_built")
+        assert built.value == 1
+        fresh = RuleIndex.from_document(document)
+        record = {"monthly_income": 3000.0, "credit_limit": 5000.0}
+        assert registry.match("credit", record) == fresh.match(record)
+        assert registry.predict(
+            "credit", record, "employee_category"
+        ) == fresh.predict(record, "employee_category")
+
+
+class TestArrayPath:
+    def test_building_an_index_inserts_nothing_into_an_rstar_tree(
+        self, result, monkeypatch
+    ):
+        inserts = []
+        monkeypatch.setattr(
+            RStarTree, "insert", lambda tree, rect, value: inserts.append(1)
+        )
+        index = RuleIndex.from_result(result)
+        assert index.indexed and index.num_rules > 0
+        assert inserts == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_queries_equal_the_linear_scan(self, data):
+        mappings, rules, lifts = data.draw(hand_built_rulesets())
+        index = RuleIndex(rules, mappings, lifts=lifts)
+        assert index.indexed == bool(rules)
+        for _ in range(data.draw(st.integers(1, 6))):
+            record = data.draw(records_for(mappings, rules))
+            scan = index.match(record, use_index=False)
+            assert index.match(record) == scan
+            keys = [(-m.score, m.rule.sort_key()) for m in scan]
+            assert keys == sorted(keys)
+            for target in index.attribute_names:
+                for top in (None, 1):
+                    assert index.predict(
+                        record, target, top=top
+                    ) == index.predict(
+                        record, target, top=top, use_index=False
+                    )
+        if not rules:
+            with pytest.raises(ValueError, match="use_index"):
+                index.match({}, use_index=True)
+
+
+#: Name of the attribute no hand-built rule mentions: a target nothing
+#: concludes on, and a dimension every rule leaves unconstrained.
+UNUSED = "unused"
+
+
+def _mapping(name, cardinality, quantitative):
+    if quantitative:
+        # Raw value ``code + 0.5`` falls in interval ``code``.
+        edges = tuple(float(e) for e in range(cardinality + 1))
+        return AttributeMapping(
+            name=name,
+            kind=AttributeKind.QUANTITATIVE,
+            cardinality=cardinality,
+            partitioning=Partitioning(edges=edges, partitioned=True),
+        )
+    return AttributeMapping(
+        name=name,
+        kind=AttributeKind.CATEGORICAL,
+        cardinality=cardinality,
+        labels=tuple(f"v{code}" for code in range(cardinality)),
+    )
+
+
+@st.composite
+def hand_built_rulesets(draw):
+    """1-4 attributes (plus ``UNUSED``) and up to 40 rules over them,
+    with scores tied by design and some lifts unknown."""
+    cardinalities = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    quantitative = [draw(st.booleans()) for _ in cardinalities]
+    mappings = [
+        _mapping(f"a{i}", cardinality, quantitative[i])
+        for i, cardinality in enumerate(cardinalities)
+    ]
+    mappings.append(_mapping(UNUSED, 3, False))
+
+    def item(attribute):
+        top = cardinalities[attribute] - 1
+        lo = draw(st.integers(0, top))
+        hi = draw(st.integers(lo, top)) if quantitative[attribute] else lo
+        return make_item(attribute, lo, hi)
+
+    rules, lifts = [], []
+    num_rules = draw(st.integers(0, 40)) if len(cardinalities) > 1 else 0
+    for _ in range(num_rules):
+        attributes = draw(st.permutations(range(len(cardinalities))))
+        attributes = attributes[: draw(st.integers(2, len(attributes)))]
+        split = draw(st.integers(1, len(attributes) - 1))
+        rules.append(
+            QuantitativeRule(
+                antecedent=make_itemset(item(a) for a in attributes[:split]),
+                consequent=make_itemset(item(a) for a in attributes[split:]),
+                support=0.1,
+                # conf 0.5 x lift 2 ties conf 1 x unknown lift (1.0).
+                confidence=draw(st.sampled_from((0.25, 0.5, 1.0))),
+            )
+        )
+        lifts.append(draw(st.sampled_from((None, 0.5, 1.0, 2.0))))
+    return mappings, rules, lifts
+
+
+@st.composite
+def records_for(draw, mappings, rules):
+    """A raw record whose codes sit on range ends, 0, cardinality - 1,
+    or are missing (absent key or a value the encoding cannot place)."""
+    ends = {i: {0, m.cardinality - 1} for i, m in enumerate(mappings)}
+    for rule in rules:
+        for it in rule.antecedent + rule.consequent:
+            ends[it.attribute] |= {it.lo, it.hi}
+    record = {}
+    for i, mapping in enumerate(mappings):
+        code = draw(st.sampled_from(sorted(ends[i]) + [None, None]))
+        quantitative = mapping.kind is AttributeKind.QUANTITATIVE
+        if code is not None:
+            record[mapping.name] = (
+                code + 0.5 if quantitative else mapping.labels[code]
+            )
+        elif draw(st.booleans()):
+            record[mapping.name] = "not-a-number" if quantitative else "x"
+    return record

@@ -169,7 +169,7 @@ def main() -> int:
             if metadata["num_rules"] != reference.num_rules:
                 fail(f"upload metadata wrong: {metadata}")
             if not metadata["indexed"]:
-                fail("server did not build the R*-tree index")
+                fail("server did not build the rule index's arrays")
             listing = http_json("GET", f"{base}/v1/rulesets")
             ids = [r["ruleset_id"] for r in listing["rulesets"]]
             if ids != ["credit-goal"]:
