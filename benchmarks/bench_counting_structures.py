@@ -14,12 +14,14 @@ pure-Python point query per record, which is why it is only the fallback
 for tables past the budget.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import MinerConfig
 from repro.core.apriori_quant import find_frequent_itemsets
 from repro.core.candidates import generate_candidates
 from repro.core.counting import CountingStats, count_itemsets
+from repro.core.levels import FrequentLevels
 from repro.core.mapper import TableMapper
 
 NUM_RECORDS = 4_000
@@ -39,8 +41,9 @@ def _pass3_workload(table, max_candidates):
     )
     mapper = TableMapper(table, config)
     support_counts, _ = find_frequent_itemsets(mapper, config)
-    l2 = sorted(s for s in support_counts if len(s) == 2)
-    candidates = generate_candidates(l2, 3)
+    frequent = FrequentLevels.from_support_counts(support_counts)
+    catalog = frequent.catalog
+    candidates = generate_candidates(catalog, frequent.levels[1].rows)
     # Keep the R*-tree's pure-Python point queries affordable.
     candidates = candidates[:max_candidates]
     assert len(candidates) >= 100, (
@@ -52,7 +55,7 @@ def _pass3_workload(table, max_candidates):
         for a in range(mapper.num_attributes)
         if mapper.mapping(a).is_quantitative
     }
-    return mapper, candidates, quantitative
+    return mapper, catalog, candidates, quantitative
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +68,10 @@ def workload(request):
 
 @pytest.mark.parametrize("structure", sorted(BUDGETS))
 def test_counting_structure(benchmark, workload, reporter, structure):
-    mapper, candidates, quantitative = workload
+    mapper, catalog, candidates, quantitative = workload
     budget = BUDGETS[structure]
     counts = benchmark(
-        count_itemsets, candidates, mapper, quantitative, budget
+        count_itemsets, catalog, candidates, mapper, quantitative, budget
     )
     reporter.line(
         f"structure={structure} (memory_budget_bytes={budget}): counted "
@@ -85,8 +88,9 @@ def test_counting_structure(benchmark, workload, reporter, structure):
     )
     # The budget put every spatial group on the named structure ...
     stats = CountingStats()
-    count_itemsets(candidates, mapper, quantitative, budget, stats)
+    count_itemsets(catalog, candidates, mapper, quantitative, budget, stats)
     assert set(stats.groups_by_backend) - {"mask"} == {structure}
     # ... and the structures agree on every support.
-    reference = count_itemsets(candidates, mapper, quantitative)
-    assert counts == reference
+    reference = count_itemsets(catalog, candidates, mapper, quantitative)
+    np.testing.assert_array_equal(counts.rows, reference.rows)
+    np.testing.assert_array_equal(counts.counts, reference.counts)

@@ -17,6 +17,8 @@ addition, so every executor/shard layout produces bit-identical
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..engine import (
     ExecutionEngine,
     PipelineStage,
@@ -26,10 +28,11 @@ from ..engine import (
 )
 from ..engine.shard_cache import ShardCountCache
 from ..obs import timeit
-from .candidates import generate_candidates, pairs_by_attribute
+from .candidates import generate_candidates
 from .config import COUNTING_CONFIG_KEYS, MinerConfig
 from .counting import CountingStats, count_frequent_pairs, count_itemsets
 from .frequent_items import FrequentItemsStage
+from .levels import FrequentLevels, ItemCatalog, Level, RowIndex, expand_ranges
 from .mapper import TableMapper
 from .stats import ExecutionStats, MiningStats, PassStats
 
@@ -64,8 +67,8 @@ class PairPassStage(PipelineStage):
     inputs = (
         "mapper",
         "config",
-        "frequent_items",
-        "support_counts",
+        "catalog",
+        "levels",
         "rangeable",
         "min_count",
         "counting_stats",
@@ -77,14 +80,14 @@ class PairPassStage(PipelineStage):
         a = context.artifacts
         target = a["target_attribute"]
         with timeit() as timer:
-            buckets = pairs_by_attribute(a["frequent_items"].supports)
+            buckets = a["catalog"].by_attribute()
             if target is None:
                 current, num_candidates = self._count_pairs(context, buckets)
             else:
                 current, num_candidates = self._count_goal_directed(
                     context, buckets, target
                 )
-        a["support_counts"].update(current)
+        a["levels"].append(current)
         context.annotate(candidates=num_candidates, frequent=len(current))
         if context.stats is not None:
             context.stats.passes.append(
@@ -102,6 +105,7 @@ class PairPassStage(PipelineStage):
         a = context.artifacts
         config = a["config"]
         return count_frequent_pairs(
+            a["catalog"],
             buckets,
             a["mapper"],
             a["rangeable"],
@@ -125,20 +129,20 @@ class PairPassStage(PipelineStage):
             buckets,
             pair_filter=lambda x, y: x == target or y == target,
         )
-        viable = {
-            item
-            for itemset in target_pairs
-            for item in itemset
-            if item.attribute != target
-        }
+        viable = target_pairs.rows[
+            context.artifacts["catalog"].attribute[target_pairs.rows] != target
+        ]
         filtered = {
-            attr: [item for item in items if item in viable]
-            for attr, items in buckets.items()
+            attr: ids[np.isin(ids, viable)]
+            for attr, ids in buckets.items()
             if attr != target
         }
-        filtered = {attr: items for attr, items in filtered.items() if items}
+        filtered = {attr: ids for attr, ids in filtered.items() if len(ids)}
         other_pairs, n_other = self._count_pairs(context, filtered)
-        return {**target_pairs, **other_pairs}, n_target + n_other
+        return (
+            Level.concat([target_pairs, other_pairs], 2),
+            n_target + n_other,
+        )
 
 
 class JoinPassStage(PipelineStage):
@@ -159,8 +163,9 @@ class JoinPassStage(PipelineStage):
     inputs = (
         "mapper",
         "config",
+        "catalog",
+        "levels",
         "current_level",
-        "support_counts",
         "rangeable",
         "min_count",
         "counting_stats",
@@ -177,11 +182,14 @@ class JoinPassStage(PipelineStage):
         target = a["target_attribute"]
         with timeit() as generation:
             candidates = generate_candidates(
-                sorted(a["current_level"]), self.k
+                a["catalog"], a["current_level"].rows
             )
-        if not candidates:
+        if not len(candidates):
             context.annotate(candidates=0, frequent=0)
-            return {"current_level": {}, "num_candidates": 0}
+            return {
+                "current_level": Level.concat([], self.k),
+                "num_candidates": 0,
+            }
         with timeit() as counting:
             if target is None:
                 current = self._count_frequent(context, candidates)
@@ -190,7 +198,7 @@ class JoinPassStage(PipelineStage):
                 current, num_candidates = self._count_goal_directed(
                     context, candidates, target
                 )
-        a["support_counts"].update(current)
+        a["levels"].append(current)
         context.annotate(candidates=num_candidates, frequent=len(current))
         if context.stats is not None:
             context.stats.passes.append(
@@ -205,10 +213,11 @@ class JoinPassStage(PipelineStage):
         return {"current_level": current, "num_candidates": num_candidates}
 
     @staticmethod
-    def _count_frequent(context, candidates) -> dict:
+    def _count_frequent(context, candidates) -> Level:
         a = context.artifacts
         config = a["config"]
         counted = count_itemsets(
+            a["catalog"],
             candidates,
             a["mapper"],
             a["rangeable"],
@@ -222,48 +231,55 @@ class JoinPassStage(PipelineStage):
             metrics=context.metrics,
             shard_cache=context.shard_cache,
         )
-        min_count = a["min_count"]
-        return {
-            itemset: count
-            for itemset, count in counted.items()
-            if count >= min_count
-        }
+        return counted.select(counted.counts >= a["min_count"])
 
     def _count_goal_directed(self, context, candidates, target: int):
         """Two waves (see class docstring); returns ``(frequent, counted)``."""
-        with_target = []
-        without = []
-        for itemset in candidates:
-            bucket = (
-                with_target
-                if any(it.attribute == target for it in itemset)
-                else without
-            )
-            bucket.append(itemset)
+        attribute = context.artifacts["catalog"].attribute
+        is_target = attribute[candidates] == target
+        has_target = is_target.any(axis=1)
+        with_target = candidates[has_target]
+        without = candidates[~has_target]
+        empty = Level.concat([], self.k)
         freq_target = (
-            self._count_frequent(context, with_target) if with_target else {}
+            self._count_frequent(context, with_target)
+            if len(with_target)
+            else empty
         )
-        # index[B'] = target items t with B' ∪ {t} frequent this pass.
-        index: dict = {}
-        for itemset in freq_target:
-            rest = tuple(it for it in itemset if it.attribute != target)
-            t_item = next(it for it in itemset if it.attribute == target)
-            index.setdefault(rest, set()).add(t_item)
-        kept = []
-        for itemset in without:
-            viable = None
-            for i in range(len(itemset)):
-                sub = index.get(itemset[:i] + itemset[i + 1:])
-                if not sub:
-                    viable = set()
-                    break
-                viable = sub if viable is None else viable & sub
-                if not viable:
-                    break
-            if viable:
-                kept.append(itemset)
-        freq_other = self._count_frequent(context, kept) if kept else {}
-        return {**freq_target, **freq_other}, len(with_target) + len(kept)
+        kept = without[_extendable(freq_target.rows, without, attribute, target)]
+        freq_other = (
+            self._count_frequent(context, kept) if len(kept) else empty
+        )
+        return (
+            Level.concat([freq_target, freq_other], self.k),
+            len(with_target) + len(kept),
+        )
+
+
+def _extendable(target_rows, rows, attribute, target: int) -> np.ndarray:
+    """Which ``rows`` B some target item t extends: every k-subset of
+    ``B ∪ {t}`` containing t is one of the frequent ``target_rows``."""
+    if not len(target_rows) or not len(rows):
+        return np.zeros(len(rows), dtype=bool)
+    k = rows.shape[1]
+    # Each frequent target row as (the rest, t); one item per row is t.
+    on_target = attribute[target_rows] == target
+    t = target_rows[on_target]
+    rest = target_rows[~on_target].reshape(-1, k - 1)
+    by_rest = RowIndex(list(rest.T), len(rest))
+    pairs = RowIndex(list(rest.T) + [t], len(rest))
+    # The t's that extend B's first subset, then the other subsets' test.
+    start, stop = by_rest.ranges(list(np.delete(rows, 0, axis=1).T), len(rows))
+    owner, slot = expand_ranges(start, stop - start)
+    t_of = t[by_rest.order[slot]]
+    ok = np.ones(len(owner), dtype=bool)
+    for drop in range(1, k):
+        subset = list(np.delete(rows[owner], drop, axis=1).T) + [t_of]
+        begin, end = pairs.ranges(subset, len(owner))
+        ok &= end > begin
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[owner[ok]] = True
+    return keep
 
 
 class FrequentItemsetSearch(PipelineStage):
@@ -272,18 +288,22 @@ class FrequentItemsetSearch(PipelineStage):
     Runs :class:`~repro.core.frequent_items.FrequentItemsStage` and then
     the data-dependent sequence of pass stages through the context's
     engine, so every pass shows up in the engine's per-stage timings.
+    The passes work on catalog-id arrays; the itemset tuples of
+    ``support_counts`` are built once, at the end
+    (:class:`~repro.core.levels.FrequentLevels`).
 
-    Cacheable as a whole: a hit restores ``support_counts`` and
-    ``frequent_items`` without running any pass, which is what makes a
+    Cacheable as a whole: a hit restores ``support_counts``,
+    ``frequent_items`` and the level arrays rule generation reads
+    without running any pass, which is what makes a
     confidence/interest-only re-mine re-enter the pipeline at rule
     generation.  The *inner* pass stages stay uncacheable by design —
-    they update ``support_counts`` in place rather than owning it, so
+    they append to the shared ``levels`` list rather than owning it, so
     skipping one of them individually would corrupt the blackboard.
     """
 
     name = "frequent_itemsets"
     inputs = ("mapper", "config")
-    outputs = ("support_counts", "frequent_items")
+    outputs = ("support_counts", "frequent_items", "frequent_levels")
     cacheable = True
     config_keys = COUNTING_CONFIG_KEYS
 
@@ -313,39 +333,36 @@ class FrequentItemsetSearch(PipelineStage):
         )
 
         engine.run_stage(FrequentItemsStage(), context)
-        support_counts = a["support_counts"]
-        if config.max_itemset_size == 1 or not support_counts:
-            self._finalize(context)
-            return {
-                "support_counts": support_counts,
-                "frequent_items": a["frequent_items"],
-            }
+        supports = a["frequent_items"].supports
+        catalog = ItemCatalog(supports)
+        ids = catalog.encode([(item,) for item in supports], 1)
+        levels = [Level(ids, np.fromiter(supports.values(), np.int64))]
+        a["catalog"], a["levels"] = catalog, levels
+        if config.max_itemset_size != 1 and supports:
+            engine.run_stage(PairPassStage(), context)
+            k = 3
+            while len(a["current_level"]) and (
+                config.max_itemset_size is None
+                or k <= config.max_itemset_size
+            ):
+                engine.run_stage(JoinPassStage(k), context)
+                if a["num_candidates"] == 0:
+                    break
+                k += 1
 
-        engine.run_stage(PairPassStage(), context)
-        k = 3
-        while a["current_level"] and (
-            config.max_itemset_size is None or k <= config.max_itemset_size
-        ):
-            engine.run_stage(JoinPassStage(k), context)
-            if a["num_candidates"] == 0:
-                break
-            k += 1
-
-        self._finalize(context)
+        frequent = FrequentLevels(catalog, levels)
+        support_counts = frequent.support_counts()
+        stats = context.stats
+        if stats is not None:
+            stats.num_frequent_itemsets = len(support_counts)
+            stats.counting_groups_by_backend = dict(
+                a["counting_stats"].groups_by_backend
+            )
         return {
             "support_counts": support_counts,
             "frequent_items": a["frequent_items"],
+            "frequent_levels": frequent,
         }
-
-    @staticmethod
-    def _finalize(context) -> None:
-        stats = context.stats
-        if stats is None:
-            return
-        stats.num_frequent_itemsets = len(context.artifacts["support_counts"])
-        stats.counting_groups_by_backend = dict(
-            context.artifacts["counting_stats"].groups_by_backend
-        )
 
 
 def build_engine_context(

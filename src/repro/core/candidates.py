@@ -1,13 +1,18 @@
 """Candidate generation for quantitative itemsets (Section 5.1).
 
-Three phases over the frequent (k-1)-itemsets L_{k-1}:
+Three phases over the frequent (k-1)-itemsets L_{k-1}, held as rows of
+catalog ids (:mod:`repro.core.levels`):
 
 1. **Join** — itemsets agreeing on their lexicographically first k-2 items
    whose last items lie on *different attributes* are merged.  (Requiring
    distinct attributes is what keeps two ranges over the same attribute
-   from appearing in one itemset.)
+   from appearing in one itemset.)  Within a prefix group the last items
+   are sorted, so their attributes form runs, and each row pairs only
+   with the rows past its own run.
 2. **Subset prune** — candidates with any (k-1)-subset missing from
-   L_{k-1} are deleted, exactly as in boolean Apriori.
+   L_{k-1} are deleted, exactly as in boolean Apriori.  The join already
+   guarantees the two subsets that drop a joined item, so only the k-2
+   that drop a prefix item are looked up.
 3. **Interest prune** — handled one level earlier: Lemma 5 removes
    over-supported quantitative *items* at the end of pass 1 (see
    ``frequent_items._interest_prune``), so no candidate containing one is
@@ -16,68 +21,44 @@ Three phases over the frequent (k-1)-itemsets L_{k-1}:
 
 from __future__ import annotations
 
+import numpy as np
+
+from .levels import ItemCatalog, RowIndex, expand_ranges
 
 
-def join(frequent_prev: list, k: int) -> list:
-    """Join phase: merge compatible (k-1)-itemsets into k-candidates.
+def _segment_ends(starts: np.ndarray) -> np.ndarray:
+    """Per row, the end of its segment; ``starts[i]`` marks row i as a
+    segment's first row (``starts[0]`` is always set)."""
+    first = np.flatnonzero(starts)
+    ends = np.append(first[1:], len(starts))
+    return ends[np.cumsum(starts) - 1]
 
-    ``frequent_prev`` must contain canonical itemsets (attribute-sorted
-    item tuples).  Returns unpruned candidates.
+
+def generate_candidates(catalog: ItemCatalog, rows: np.ndarray) -> np.ndarray:
+    """Join + subset prune: candidate k-itemsets from L_{k-1}'s id rows.
+
+    Returns an (m, k) ``int32`` id matrix in canonical order.
     """
-    if k < 2:
-        raise ValueError("join starts at k=2")
-    prev = sorted(frequent_prev)
-    out = []
-    n = len(prev)
-    for i in range(n):
-        a = prev[i]
-        for j in range(i + 1, n):
-            b = prev[j]
-            if a[:-1] != b[:-1]:
-                break  # sorted order: the shared prefix cannot reappear
-            last_a, last_b = a[-1], b[-1]
-            if last_a.attribute == last_b.attribute:
-                continue  # two ranges on one attribute are not an itemset
-            out.append(a + (last_b,))
-    return out
-
-
-def subset_prune(candidates: list, frequent_prev: list) -> list:
-    """Prune candidates with an infrequent (k-1)-subset."""
-    prev_set = set(frequent_prev)
-    return [c for c in candidates if _all_subsets_present(c, prev_set)]
-
-
-def _all_subsets_present(candidate, prev_set) -> bool:
-    for drop in range(len(candidate)):
-        if candidate[:drop] + candidate[drop + 1:] not in prev_set:
-            return False
-    return True
-
-
-def generate_candidates(frequent_prev: list, k: int) -> list:
-    """Join + subset prune in one call."""
-    return subset_prune(join(frequent_prev, k), frequent_prev)
-
-
-def singleton_itemsets(frequent_items) -> list:
-    """Wrap frequent items as 1-itemsets, the L_1 of the level-wise loop."""
-    return sorted((item,) for item in frequent_items)
-
-
-def pairs_by_attribute(frequent_items) -> dict:
-    """Bucket frequent items by attribute — used by the specialized pass 2.
-
-    Pass 2's candidate set is the cross product of frequent items over
-    every pair of distinct attributes (the join prefix is empty), which can
-    be enormous before counting.  The counting layer therefore generates
-    and counts pass-2 candidates group-by-group without materializing the
-    non-frequent ones; this helper provides the per-attribute buckets it
-    iterates over.
-    """
-    buckets: dict = {}
-    for item in frequent_items:
-        buckets.setdefault(item.attribute, []).append(item)
-    for bucket in buckets.values():
-        bucket.sort()
-    return buckets
+    n, width = rows.shape
+    if width < 1:
+        raise ValueError("candidate generation starts at k=2")
+    rows = rows[np.lexsort(rows.T[::-1])]
+    last = rows[:, -1]
+    group_starts = np.zeros(n, dtype=bool)
+    group_starts[:1] = True
+    group_starts[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    attribute = catalog.attribute[last]
+    run_starts = group_starts.copy()
+    run_starts[1:] |= attribute[1:] != attribute[:-1]
+    run_ends = _segment_ends(run_starts)
+    left, right = expand_ranges(run_ends, _segment_ends(group_starts) - run_ends)
+    candidates = np.concatenate([rows[left], last[right, None]], axis=1)
+    if width > 1 and len(candidates):
+        index = RowIndex(list(rows.T), n)
+        keep = np.ones(len(candidates), dtype=bool)
+        for drop in range(width - 1):
+            subset = [candidates[:, c] for c in range(width + 1) if c != drop]
+            start, stop = index.ranges(subset, len(candidates))
+            keep &= stop > start
+        candidates = candidates[keep]
+    return candidates

@@ -47,6 +47,7 @@ import numpy as np
 from ..engine.shard_cache import sharded_map_cached
 from ..engine.shards import plan_shards
 from ..rtree import Rect, bulk_load
+from .levels import ItemCatalog, Level, RowIndex
 from .mapper import TableMapper
 
 #: Bytes a counting table is charged per cell (one int64 count).
@@ -63,7 +64,9 @@ class SuperCandidate:
 
     categorical_items: tuple  # items fixing the categorical attributes
     quant_attrs: tuple  # quantitative attribute indices, sorted
-    candidates: list  # full itemsets (each a canonical item tuple)
+    candidates: np.ndarray  # (m, k) catalog-id rows, one per candidate
+    lo: np.ndarray  # (m, ndim) rectangle lower bounds, by quant_attrs
+    hi: np.ndarray  # (m, ndim) rectangle upper bounds
 
     @property
     def ndim(self) -> int:
@@ -71,42 +74,48 @@ class SuperCandidate:
 
     def rectangles(self) -> tuple:
         """(lo, hi) integer arrays of shape (num_candidates, ndim)."""
-        num = len(self.candidates)
-        # Every candidate has the same length (same categorical items,
-        # same quantitative attributes): one flat pass over every
-        # (attribute, lo, hi) field, then the quantitative items of each
-        # row, in itemset order.
-        width = len(self.candidates[0]) if num else 0
-        fields = np.fromiter(
-            chain.from_iterable(chain.from_iterable(self.candidates)),
-            dtype=np.int64,
-            count=3 * width * num,
-        ).reshape(num, width, 3)
-        quant = np.isin(fields[:, :, 0], self.quant_attrs)
-        lo = fields[:, :, 1][quant].reshape(num, self.ndim)
-        hi = fields[:, :, 2][quant].reshape(num, self.ndim)
-        return lo, hi
+        return self.lo, self.hi
 
 
-def group_candidates(candidates, quantitative: set) -> list:
-    """Partition candidates into super-candidates.
+def group_candidates(catalog: ItemCatalog, rows, quantitative: set) -> list:
+    """Partition candidate id rows into super-candidates.
 
     ``quantitative`` is the set of quantitative attribute indices; items on
-    other attributes form the fixed categorical part of the key.
+    other attributes form the fixed categorical part of the key.  Groups
+    come in order of their first row, and keep their rows in order.
     """
-    groups: dict = {}
-    for itemset in candidates:
-        cat = tuple(
-            item for item in itemset if item.attribute not in quantitative
+    num_rows = len(rows)
+    if not num_rows:
+        return []
+    attribute = catalog.attribute[rows]
+    quant = np.isin(attribute, list(quantitative))
+    # One key column per position: the categorical item's id, or the
+    # quantitative attribute past every id.
+    key = np.where(quant, attribute + len(catalog), rows)
+    index = RowIndex(list(key.T), num_rows)
+    order, keys = index.order, index.keys
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    stops = np.append(starts[1:], num_rows)
+    groups = []
+    for g in np.argsort(order[starts], kind="stable"):
+        members = order[starts[g]:stops[g]]
+        first = members[0]
+        quant_at = np.flatnonzero(quant[first])
+        member_rows = rows[members]
+        bounds = member_rows[:, quant_at]
+        groups.append(
+            SuperCandidate(
+                tuple(
+                    catalog.items[i]
+                    for i in member_rows[0][~quant[first]].tolist()
+                ),
+                tuple(attribute[first, quant_at].tolist()),
+                member_rows,
+                catalog.lo[bounds],
+                catalog.hi[bounds],
+            )
         )
-        quant_attrs = tuple(
-            item.attribute for item in itemset if item.attribute in quantitative
-        )
-        groups.setdefault((cat, quant_attrs), []).append(itemset)
-    return [
-        SuperCandidate(cat, quant_attrs, members)
-        for (cat, quant_attrs), members in groups.items()
-    ]
+    return groups
 
 
 # ----------------------------------------------------------------------
@@ -204,10 +213,6 @@ class PrefixSumCounter:
             table = np.cumsum(table, axis=axis)
         self._table = np.pad(table, [(1, 0)] * table.ndim)
 
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self._shape))
-
     def count_rects(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Counts for rectangles given as (m, ndim) integer bound arrays."""
         ndim = len(self._shape)
@@ -226,14 +231,18 @@ class PrefixSumCounter:
     def count_cross(self, ranges_per_dim) -> np.ndarray:
         """Counts for the full cross product of per-dimension range lists.
 
-        ``ranges_per_dim[d]`` is a list of (lo, hi) pairs; the result has
+        ``ranges_per_dim[d]`` holds (lo, hi) pairs; the result has
         shape ``(len(ranges_per_dim[0]), ..., len(ranges_per_dim[-1]))``.
         This is the pass-2 fast path: outer indexing answers every
         combination without materializing candidate objects.
         """
         ndim = len(self._shape)
-        los = [np.array([r[0] for r in dim], dtype=np.int64) for dim in ranges_per_dim]
-        his = [np.array([r[1] for r in dim], dtype=np.int64) for dim in ranges_per_dim]
+        bounds = [
+            np.asarray(dim, dtype=np.int64).reshape(-1, 2)
+            for dim in ranges_per_dim
+        ]
+        los = [dim[:, 0] for dim in bounds]
+        his = [dim[:, 1] for dim in bounds]
         shape = tuple(len(dim) for dim in ranges_per_dim)
         counts = np.zeros(shape, dtype=np.int64)
         for corner in product((0, 1), repeat=ndim):
@@ -377,7 +386,8 @@ class CountingStats:
 
 
 def count_itemsets(
-    candidates,
+    catalog: ItemCatalog,
+    rows,
     mapper: TableMapper,
     quantitative: set,
     memory_budget_bytes: int = 256 * 1024 * 1024,
@@ -390,22 +400,22 @@ def count_itemsets(
     span_parent=None,
     metrics=None,
     shard_cache=None,
-) -> dict:
-    """Support counts for explicit candidate itemsets.
+) -> Level:
+    """Support counts for explicit candidates, given as catalog-id rows.
 
     Groups the candidates into super-candidates, picks each group's
-    structure with :func:`choose_backend` and returns
-    ``{itemset: absolute support count}``.  With an ``executor``/``shards``
+    structure with :func:`choose_backend` and returns the candidates as
+    a :class:`~repro.core.levels.Level`: the rows in group order, with
+    their absolute support counts.  With an ``executor``/``shards``
     pair the counting fans out per record shard and the per-shard counts
     are summed — bit-identical to the unsharded path for any shard
-    layout.  ``tracer``/``span_parent``/``metrics``
-    ride through to :func:`~repro.engine.sharded.sharded_map` so the
-    fan-out shows up as ``shard_task`` spans under the calling stage.
+    layout.  ``tracer``/``span_parent``/``metrics`` ride through to
+    :func:`~repro.engine.sharded.sharded_map` so the fan-out shows up as
+    ``shard_task`` spans under the calling stage.
     """
-    counts: dict = {}
-    groups = group_candidates(candidates, quantitative)
+    groups = group_candidates(catalog, rows, quantitative)
     if not groups:
-        return counts
+        return Level.concat([], rows.shape[1])
     backends = [
         choose_backend(group, mapper, memory_budget_bytes) for group in groups
     ]
@@ -428,12 +438,19 @@ def count_itemsets(
             metrics=metrics,
         )
         per_group = _merge_group_counts(per_shard)
-    for group, resolved, group_counts in zip(groups, backends, per_group):
-        if stats is not None:
+    if stats is not None:
+        for resolved in backends:
             stats.record(resolved)
-        for itemset, count in zip(group.candidates, group_counts):
-            counts[itemset] = int(count)
-    return counts
+    return _grouped_level(groups, per_group)
+
+
+def _grouped_level(groups, per_group) -> Level:
+    """Every group's candidates and counts, group after group."""
+    rows = np.concatenate([group.candidates for group in groups])
+    counts = np.fromiter(
+        chain.from_iterable(per_group), dtype=np.int64, count=len(rows)
+    )
+    return Level(rows, counts)
 
 
 # ----------------------------------------------------------------------
@@ -441,10 +458,16 @@ def count_itemsets(
 # ----------------------------------------------------------------------
 # Each attribute pair becomes one *plan*: a picklable description of the
 # counting work whose ``shard_counts`` runs on any view (full table or
-# shard) and whose ``emit`` thresholds the merged counts into the
-# frequent-pair dictionary.  Splitting count from emit is what makes
-# pass 2 record-shardable: raw counts merge associatively, thresholding
-# happens exactly once on the global sums.
+# shard) and whose ``emit`` thresholds the merged counts into the pair's
+# frequent id rows.  Splitting count from emit is what makes pass 2
+# record-shardable: raw counts merge associatively, thresholding happens
+# exactly once on the global sums.  Every plan emits its pairs in
+# row-major order over (first attribute's items, second attribute's).
+
+
+def _pairs(ids_a, ids_b, ia, ib) -> np.ndarray:
+    """Id rows of the pairs ``(ids_a[ia], ids_b[ib])``, ascending ids."""
+    return np.stack([ids_a[ia], ids_b[ib]], axis=1)
 
 
 @dataclass
@@ -452,20 +475,20 @@ class _QuantQuantPlan:
     """Both attributes quantitative: one cross-product prefix-sum query."""
 
     attrs: tuple
-    items_a: list
-    items_b: list
+    ids_a: np.ndarray
+    ids_b: np.ndarray
+    ranges_a: np.ndarray  # (len(ids_a), 2) lo, hi
+    ranges_b: np.ndarray
 
     def shard_counts(self, view) -> np.ndarray:
         counter = PrefixSumCounter(view, self.attrs)
-        ranges_a = [(it.lo, it.hi) for it in self.items_a]
-        ranges_b = [(it.lo, it.hi) for it in self.items_b]
-        return counter.count_cross([ranges_a, ranges_b])
+        return counter.count_cross([self.ranges_a, self.ranges_b])
 
-    def emit(self, counts, min_count, out, stats) -> None:
+    def emit(self, counts, min_count, stats) -> Level:
         if stats is not None:
             stats.record("array")
-        for ia, ib in np.argwhere(counts >= min_count):
-            out[(self.items_a[ia], self.items_b[ib])] = int(counts[ia, ib])
+        ia, ib = np.nonzero(counts >= min_count)
+        return Level(_pairs(self.ids_a, self.ids_b, ia, ib), counts[ia, ib])
 
 
 @dataclass
@@ -473,8 +496,10 @@ class _CatCatPlan:
     """Both attributes categorical: a joint histogram lookup."""
 
     attrs: tuple
-    items_a: list
-    items_b: list
+    ids_a: np.ndarray
+    ids_b: np.ndarray
+    values_a: np.ndarray  # each item's categorical code
+    values_b: np.ndarray
 
     def shard_counts(self, view) -> np.ndarray:
         a, b = self.attrs
@@ -484,42 +509,43 @@ class _CatCatPlan:
             flat, minlength=shape[0] * shape[1]
         ).reshape(shape)
 
-    def emit(self, table, min_count, out, stats) -> None:
+    def emit(self, table, min_count, stats) -> Level:
         if stats is not None:
             stats.record("array")
-        for ia in self.items_a:
-            for ib in self.items_b:
-                count = int(table[ia.lo, ib.lo])
-                if count >= min_count:
-                    out[(ia, ib)] = count
+        counts = table[np.ix_(self.values_a, self.values_b)]
+        ia, ib = np.nonzero(counts >= min_count)
+        return Level(_pairs(self.ids_a, self.ids_b, ia, ib), counts[ia, ib])
 
 
 @dataclass
 class _CatQuantPlan:
     """Mixed pair: one 1-D prefix-sum counter per categorical value."""
 
-    cat_items: list
-    quant_items: list
+    cat_items: tuple
+    cat_ids: np.ndarray
+    quant_ids: np.ndarray
+    quant_ranges: np.ndarray  # (len(quant_ids), 2) lo, hi
+    quant_attr: int
 
     def shard_counts(self, view) -> np.ndarray:
-        ranges = [(it.lo, it.hi) for it in self.quant_items]
-        quant_attr = self.quant_items[0].attribute
         rows = [
             PrefixSumCounter(
-                RecordSelection(view, (cat_item,)), (quant_attr,)
-            ).count_cross([ranges])
+                RecordSelection(view, (cat_item,)), (self.quant_attr,)
+            ).count_cross([self.quant_ranges])
             for cat_item in self.cat_items
         ]
         return np.stack(rows)
 
-    def emit(self, counts, min_count, out, stats) -> None:
-        for row, cat_item in zip(counts, self.cat_items):
-            if stats is not None:
+    def emit(self, counts, min_count, stats) -> Level:
+        if stats is not None:
+            for _ in self.cat_items:
                 stats.record("array")
-            for (iq,) in np.argwhere(row >= min_count):
-                quant_item = self.quant_items[iq]
-                itemset = tuple(sorted((cat_item, quant_item)))
-                out[itemset] = int(row[iq])
+        ic, iq = np.nonzero(counts >= min_count)
+        if self.cat_items[0].attribute < self.quant_attr:
+            rows = _pairs(self.cat_ids, self.quant_ids, ic, iq)
+        else:
+            rows = _pairs(self.quant_ids, self.cat_ids, iq, ic)
+        return Level(rows, counts[ic, iq])
 
 
 @dataclass
@@ -532,18 +558,16 @@ class _ExplicitPlan:
     def shard_counts(self, view) -> list:
         return count_groups(self.groups, self.backends, view)
 
-    def emit(self, per_group, min_count, out, stats) -> None:
-        for group, resolved, counts in zip(
-            self.groups, self.backends, per_group
-        ):
-            if stats is not None:
+    def emit(self, per_group, min_count, stats) -> Level:
+        if stats is not None:
+            for resolved in self.backends:
                 stats.record(resolved)
-            for itemset, count in zip(group.candidates, counts):
-                if count >= min_count:
-                    out[itemset] = int(count)
+        level = _grouped_level(self.groups, per_group)
+        return level.select(level.counts >= min_count)
 
 
 def build_pair_plans(
+    catalog: ItemCatalog,
     item_buckets: dict,
     mapper: TableMapper,
     quantitative: set,
@@ -552,11 +576,13 @@ def build_pair_plans(
 ):
     """One plan per attribute pair, plus the pass-2 candidate tally.
 
-    A pair's table is charged against ``memory_budget_bytes`` like any
-    super-candidate's array: the joint histogram for two categorical or
-    two quantitative attributes, the quantitative attribute's array for
-    a mixed pair.  A pair past the budget becomes an :class:`_ExplicitPlan`
-    whose groups each get :func:`choose_backend`'s verdict.
+    ``item_buckets`` maps each attribute to the catalog ids of its
+    frequent items, ascending.  A pair's table is charged against
+    ``memory_budget_bytes`` like any super-candidate's array: the joint
+    histogram for two categorical or two quantitative attributes, the
+    quantitative attribute's array for a mixed pair.  A pair past the
+    budget becomes an :class:`_ExplicitPlan` whose groups each get
+    :func:`choose_backend`'s verdict.
 
     ``pair_filter``, when given, is a predicate over an attribute pair
     ``(a, b)`` with ``a < b``; pairs it rejects contribute no plan and no
@@ -566,20 +592,27 @@ def build_pair_plans(
     plans: list = []
     num_candidates = 0
     attrs = sorted(item_buckets)
+
+    def ranges(ids):
+        return np.stack([catalog.lo[ids], catalog.hi[ids]], axis=1)
+
     for i, a in enumerate(attrs):
         for b in attrs[i + 1:]:
             if pair_filter is not None and not pair_filter(a, b):
                 continue
-            items_a, items_b = item_buckets[a], item_buckets[b]
-            num_candidates += len(items_a) * len(items_b)
+            ids_a, ids_b = item_buckets[a], item_buckets[b]
+            num_candidates += len(ids_a) * len(ids_b)
             a_quant, b_quant = a in quantitative, b in quantitative
             if a_quant == b_quant:
                 table_attrs = (a, b)
             else:
                 table_attrs = (a,) if a_quant else (b,)
             if _table_bytes(mapper, table_attrs) > memory_budget_bytes:
-                explicit = [(ia, ib) for ia in items_a for ib in items_b]
-                groups = group_candidates(explicit, quantitative)
+                explicit = np.stack(
+                    [np.repeat(ids_a, len(ids_b)), np.tile(ids_b, len(ids_a))],
+                    axis=1,
+                )
+                groups = group_candidates(catalog, explicit, quantitative)
                 backends = [
                     choose_backend(group, mapper, memory_budget_bytes)
                     for group in groups
@@ -587,18 +620,28 @@ def build_pair_plans(
                 plans.append(_ExplicitPlan(groups, backends))
             elif a_quant and b_quant:
                 plans.append(
-                    _QuantQuantPlan((a, b), list(items_a), list(items_b))
+                    _QuantQuantPlan(
+                        (a, b), ids_a, ids_b, ranges(ids_a), ranges(ids_b)
+                    )
                 )
             elif not a_quant and not b_quant:
                 plans.append(
-                    _CatCatPlan((a, b), list(items_a), list(items_b))
+                    _CatCatPlan(
+                        (a, b), ids_a, ids_b, catalog.lo[ids_a], catalog.lo[ids_b]
+                    )
                 )
             else:
-                cat_items, quant_items = (
-                    (items_a, items_b) if b_quant else (items_b, items_a)
+                cat_ids, quant_ids, quant_attr = (
+                    (ids_a, ids_b, b) if b_quant else (ids_b, ids_a, a)
                 )
                 plans.append(
-                    _CatQuantPlan(list(cat_items), list(quant_items))
+                    _CatQuantPlan(
+                        tuple(catalog.items[i] for i in cat_ids.tolist()),
+                        cat_ids,
+                        quant_ids,
+                        ranges(quant_ids),
+                        quant_attr,
+                    )
                 )
     return plans, num_candidates
 
@@ -618,6 +661,7 @@ def _merge_pair_counts(left, right):
 
 
 def count_frequent_pairs(
+    catalog: ItemCatalog,
     item_buckets: dict,
     mapper: TableMapper,
     quantitative: set,
@@ -640,26 +684,27 @@ def count_frequent_pairs(
     every attribute pair, which can be orders of magnitude larger than the
     surviving L_2.  A pair whose table fits the memory budget is answered
     as a whole cross product, by outer-indexed inclusion–exclusion or a
-    joint histogram, and only its frequent pairs are materialized; a pair
-    past the budget materializes its candidates as super-candidate groups
+    joint histogram, and only its frequent pairs are emitted; a pair past
+    the budget materializes its candidates as super-candidate groups
     (see :func:`build_pair_plans`).
 
     With an ``executor``/``shards`` pair, each shard computes raw counts
     for every plan, the per-shard counts are summed, and the minimum-count
     threshold is applied once to the exact global sums.
 
-    Returns ``(frequent: dict, num_candidates: int)``.
+    Returns ``(frequent: Level, num_candidates: int)``, the frequent
+    pairs plan after plan.
     """
     plans, num_candidates = build_pair_plans(
+        catalog,
         item_buckets,
         mapper,
         quantitative,
         memory_budget_bytes,
         pair_filter=pair_filter,
     )
-    frequent: dict = {}
     if not plans:
-        return frequent, num_candidates
+        return Level.concat([], 2), num_candidates
     if executor is None and shards is None:
         merged = _count_pairs_shard(mapper, plans)
     else:
@@ -684,7 +729,8 @@ def count_frequent_pairs(
                 _merge_pair_counts(m, s)
                 for m, s in zip(merged, shard_result)
             ]
-    for plan, counts in zip(plans, merged):
-        plan.emit(counts, min_count, frequent, stats)
-    return frequent, num_candidates
-
+    frequent = [
+        plan.emit(counts, min_count, stats)
+        for plan, counts in zip(plans, merged)
+    ]
+    return Level.concat(frequent, 2), num_candidates

@@ -237,10 +237,10 @@ def find_frequent_items(
 class FrequentItemsStage(PipelineStage):
     """Pass 1 of the level-wise search as a pipeline stage.
 
-    Produces the frequent items (values + merged ranges) and seeds the
-    ``support_counts`` dictionary with the 1-itemsets.  The per-attribute
-    histogram scan — the only record-linear part of this pass — runs
-    sharded under the context's executor.
+    Produces the frequent items (values + merged ranges), the level-wise
+    search's L_1.  The per-attribute histogram scan — the only
+    record-linear part of this pass — runs sharded under the context's
+    executor.
 
     Cacheable: the outputs are a pure function of the encoded table and
     the declared config fields (note ``item_prune_interest_level``
@@ -250,7 +250,7 @@ class FrequentItemsStage(PipelineStage):
 
     name = "frequent_items"
     inputs = ("mapper", "config")
-    outputs = ("frequent_items", "support_counts")
+    outputs = ("frequent_items",)
     cacheable = True
     config_keys = FREQUENT_ITEMS_CONFIG_KEYS
 
@@ -276,11 +276,9 @@ class FrequentItemsStage(PipelineStage):
                 metrics=context.metrics,
                 shard_cache=context.shard_cache,
             )
-        support_counts = {
-            (item,): count for item, count in freq_items.supports.items()
-        }
+        num_frequent = len(freq_items.supports)
         context.annotate(
-            frequent_items=len(support_counts),
+            frequent_items=num_frequent,
             items_pruned_by_interest=len(freq_items.pruned_by_interest),
         )
         stats = context.stats
@@ -295,14 +293,11 @@ class FrequentItemsStage(PipelineStage):
                         mapper.cardinality(a)
                         for a in range(mapper.num_attributes)
                     ),
-                    num_frequent=len(support_counts),
+                    num_frequent=num_frequent,
                     counting_seconds=timer.seconds,
                 )
             )
-        return {
-            "frequent_items": freq_items,
-            "support_counts": support_counts,
-        }
+        return {"frequent_items": freq_items}
 
 
 def _interest_prune(

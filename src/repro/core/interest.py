@@ -59,8 +59,8 @@ from .config import (
 from .counting import PrefixSumCounter
 from .frequent_items import FrequentItems
 from .items import Item, attributes_of
+from .levels import RowIndex, expand_ranges
 from .mapper import TableMapper
-from .rules import QuantitativeRule
 
 #: Fan the interest filter out only past this many signature groups —
 #: each task ships the full support dictionary and frequent-item
@@ -73,12 +73,14 @@ class InterestFilterStage(PipelineStage):
 
     Cacheable — the fingerprint covers the interest level, mode and
     specialization toggle, so an interest-only sweep re-runs exactly
-    this stage against cached rules.
+    this stage against cached rules.  Its output is the positions of
+    the kept rules in ``rules``, not a second copy of them; the miner
+    picks the rules out when it assembles the result.
     """
 
     name = "interest"
     inputs = ("rules", "support_counts", "frequent_items", "mapper", "config")
-    outputs = ("interesting_rules",)
+    outputs = ("interesting_positions",)
     cacheable = True
     config_keys = INTEREST_CONFIG_KEYS
 
@@ -104,7 +106,7 @@ class InterestFilterStage(PipelineStage):
             rules_out=len(interesting),
             pruned_by_interest=len(a["rules"]) - len(interesting),
         )
-        return {"interesting_rules": interesting}
+        return {"interesting_positions": evaluator.kept_positions}
 
 
 _EPS = 1e-9
@@ -369,13 +371,13 @@ class InterestEvaluator:
         bounds = self._bounds[sig] = (fields[:, :, 1], fields[:, :, 2])
         return bounds
 
-    def _join_index(self, sig: tuple, j: int) -> "_RowIndex":
+    def _join_index(self, sig: tuple, j: int) -> "RowIndex":
         """The frequent itemsets over ``sig`` keyed by every position but
         ``j``."""
         index = self._join_indexes.get((sig, j))
         if index is None:
             lo, hi = self._frequent_bounds(sig)
-            index = _RowIndex(_columns_except(lo, hi, j), len(lo))
+            index = RowIndex(_columns_except(lo, hi, j), len(lo))
             self._join_indexes[(sig, j)] = index
         return index
 
@@ -400,7 +402,7 @@ class InterestEvaluator:
             start, stop = index.ranges(
                 _columns_except(x_lo, x_hi, j), len(x_lo)
             )
-            q, pos = _expand(start, stop - start)
+            q, pos = expand_ranges(start, stop - start)
             f = index.order[pos]
             lo_j, hi_j = f_lo[f, j], f_hi[f, j]
             x_lo_j, x_hi_j = x_lo[q, j], x_hi[q, j]
@@ -443,7 +445,7 @@ class InterestEvaluator:
         d_sup = self._box_supports(sig, d_lo, d_hi)
         d_prob = _range_probabilities(self._freq, sig, d_lo, d_hi)
         per_x = np.bincount(owner, minlength=len(x_lo))
-        test_pair, test_diff = _expand(
+        test_pair, test_diff = expand_ranges(
             (np.cumsum(per_x) - per_x)[pair_x], per_x[pair_x]
         )
         self.stats.specialization_checks += len(test_pair)
@@ -491,17 +493,22 @@ class InterestEvaluator:
         ``executor`` (or an explicit ``block_size``) blocks of groups run
         under the executor via :func:`~repro.engine.sharded.partitioned_map`;
         the merged, canonically sorted output is bit-identical to the
-        serial path.
+        serial path.  The kept rules' positions in ``rules``, in the
+        returned order, are left in :attr:`kept_positions`.
         """
         self.stats.rules_total = len(rules)
         if not self._config.interest_enabled:
             self.stats.rules_interesting = len(rules)
+            self.kept_positions = np.arange(len(rules))
             return list(rules)
 
         groups: dict = {}
-        for rule in rules:
-            groups.setdefault(rule.attribute_signature(), []).append(rule)
-        group_list = list(groups.values())
+        for position, rule in enumerate(rules):
+            groups.setdefault(rule.attribute_signature(), []).append(position)
+        group_list = [
+            (positions, [rules[i] for i in positions])
+            for positions in groups.values()
+        ]
 
         # Mirror the rule-generation fan-out policy: an explicit block
         # size always takes the block path, the derived layout only once
@@ -519,7 +526,7 @@ class InterestEvaluator:
             and len(group_list) >= min_work
         )
 
-        interesting: list = []
+        kept: list = []
         if fan_out:
             # A full-table view is mapper-compatible and picklable, which
             # is all the worker-side evaluator needs for on-demand
@@ -534,7 +541,7 @@ class InterestEvaluator:
                 (block, self._supports, self._freq, view, self._config)
                 for block in blocks
             ]
-            for kept, worker_stats in partitioned_map(
+            for block_kept, worker_stats in partitioned_map(
                 executor,
                 _interest_block,
                 payloads,
@@ -544,7 +551,7 @@ class InterestEvaluator:
                 parent=span_parent,
                 metrics=metrics,
             ):
-                interesting.extend(kept)
+                kept.extend(block_kept)
                 self.stats.deviation_tests += worker_stats.deviation_tests
                 self.stats.specialization_checks += (
                     worker_stats.specialization_checks
@@ -553,17 +560,20 @@ class InterestEvaluator:
                     worker_stats.on_demand_supports
                 )
         else:
-            for group in group_list:
-                interesting.extend(self._filter_group(group))
-        interesting.sort(key=QuantitativeRule.sort_key)
-        self.stats.rules_interesting = len(interesting)
-        return interesting
+            for positions, group in group_list:
+                kept.extend(self._filter_group(positions, group))
+        kept.sort(key=lambda i: rules[i].sort_key())
+        self.kept_positions = np.array(kept, dtype=np.int64)
+        self.stats.rules_interesting = len(kept)
+        return [rules[i] for i in kept]
 
     # ------------------------------------------------------------------
     # Group machinery
     # ------------------------------------------------------------------
-    def _filter_group(self, group: list) -> list:
-        arrays = _build_group_arrays(group, self._freq)
+    def _filter_group(self, positions: list, group: list) -> list:
+        """The positions of ``group``'s interesting rules; ``positions``
+        numbers the rules of ``group``."""
+        arrays = _build_group_arrays(positions, group, self._freq)
         return _GroupFilter(self, arrays).run()
 
 
@@ -571,7 +581,7 @@ class InterestEvaluator:
 class _GroupArrays:
     """Numpy view of one attribute-signature group of rules."""
 
-    rules: list  # ordered by descending generality
+    positions: np.ndarray  # the rules' numbers, by descending generality
     lo: np.ndarray  # (G, k) all item lower bounds (antecedent + consequent)
     hi: np.ndarray  # (G, k)
     probs: np.ndarray  # (G, k) per-item probabilities
@@ -585,7 +595,7 @@ class _GroupArrays:
     itemset_order: np.ndarray
 
 
-def _build_group_arrays(group: list, freq) -> _GroupArrays:
+def _build_group_arrays(positions: list, group: list, freq) -> _GroupArrays:
     k1 = len(group[0].antecedent)
     k = k1 + len(group[0].consequent)
     # One flat pass over every (attribute, lo, hi) field, antecedent
@@ -609,7 +619,7 @@ def _build_group_arrays(group: list, freq) -> _GroupArrays:
     order = np.argsort(-generality, kind="stable")
     itemset_order = np.argsort(attributes)
     return _GroupArrays(
-        [group[i] for i in order],
+        np.asarray(positions)[order],
         lo[order],
         hi[order],
         probs[order],
@@ -633,14 +643,14 @@ class _GroupFilter:
     def run(self) -> list:
         a = self._a
         start = 0
-        g = len(a.rules)
+        g = len(a.positions)
         while start < g:
             stop = start
             while stop < g and a.generality[stop] == a.generality[start]:
                 stop += 1
             self._process_batch(start, stop)
             start = stop
-        return [a.rules[i] for i in self._interesting]
+        return a.positions[self._interesting].tolist()
 
     def _process_batch(self, start: int, stop: int) -> None:
         if not self._interesting:
@@ -770,7 +780,7 @@ def _close_pairs(rows, cols, num_ancestors, lo, hi) -> np.ndarray:
     while t0 < len(rows):
         budget = (ends[t0 - 1] if t0 else 0) + _CLOSE_PAIRS_PER_SLICE
         t1 = max(t0 + 1, int(np.searchsorted(ends, budget, "right")))
-        p, q = _expand(first[rows[t0:t1]], partners[t0:t1])
+        p, q = expand_ranges(first[rows[t0:t1]], partners[t0:t1])
         p += t0
         # contains: ancestor p's box holds ancestor q's (q != p).
         contains = p != q
@@ -780,58 +790,6 @@ def _close_pairs(rows, cols, num_ancestors, lo, hi) -> np.ndarray:
         not_close[p[contains]] = True
         t0 = t1
     return ~not_close
-
-
-def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple:
-    """Flatten the ranges ``[starts[i], starts[i] + counts[i])``.
-
-    Returns ``(owner, position)``: for each element of each range, in
-    range order, the index i of its range and its position.
-    """
-    owner = np.repeat(np.arange(len(counts)), counts)
-    shift = starts - (np.cumsum(counts) - counts)
-    return owner, np.arange(len(owner)) + shift[owner]
-
-
-class _RowIndex:
-    """The rows of some integer key columns, sorted for joins.
-
-    Row keys are ranked column by column: the rank of columns ``0..c`` is
-    the rank of (rank of ``0..c-1``, column c) among the indexed rows, so
-    a key never exceeds rows x column values, however many columns it
-    spans and however large the codes are.  Queries follow the same
-    ranks with binary searches.
-    """
-
-    def __init__(self, columns: list, num_rows: int) -> None:
-        ranks = np.zeros(num_rows, dtype=np.int64)
-        self._levels = []
-        for column in columns:
-            radix = int(column.max()) + 1 if num_rows else 1
-            values, ranks = np.unique(
-                ranks * radix + column, return_inverse=True
-            )
-            self._levels.append((radix, values))
-        #: Row numbers grouped by key, in row order within a key.
-        self.order = np.argsort(ranks, kind="stable")
-        self._sorted = ranks[self.order]
-
-    def ranges(self, columns: list, num_rows: int) -> tuple:
-        """Per query row, the ``[start, stop)`` slice of :attr:`order`
-        holding the indexed rows with the same key."""
-        ranks = np.zeros(num_rows, dtype=np.int64)
-        if not len(self.order):
-            return ranks, ranks
-        found = np.ones(num_rows, dtype=bool)
-        for (radix, values), column in zip(self._levels, columns):
-            key = ranks * radix + column
-            ranks = np.minimum(np.searchsorted(values, key), len(values) - 1)
-            found &= (column < radix) & (values[ranks] == key)
-        start = np.searchsorted(self._sorted, ranks, "left")
-        stop = np.where(
-            found, np.searchsorted(self._sorted, ranks, "right"), start
-        )
-        return start, stop
 
 
 def _columns_except(lo: np.ndarray, hi: np.ndarray, j: int) -> list:
@@ -876,14 +834,14 @@ def _interest_block(payload) -> tuple:
     """Worker: filter one block of attribute-signature groups.
 
     Builds a private evaluator over the shipped full-table view and runs
-    the group machinery on its block only; returns the kept rules (in
-    group order) plus the worker's counters for merging.
+    the group machinery on its block only; returns the kept rules'
+    positions (in group order) plus the worker's counters for merging.
     """
     groups, support_counts, frequent_items, view, config = payload
     evaluator = InterestEvaluator(support_counts, frequent_items, view, config)
     kept: list = []
-    for group in groups:
-        kept.extend(evaluator._filter_group(group))
+    for positions, group in groups:
+        kept.extend(evaluator._filter_group(positions, group))
     return kept, evaluator.stats
 
 

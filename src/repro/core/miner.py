@@ -439,12 +439,18 @@ class QuantitativeMiner:
             stats.execution.cumulative_stage_seconds = dict(
                 self._cumulative_stage_seconds
             )
+        # The result's objects are assembled here, from the artifacts:
+        # the interest stage keeps positions into ``rules``, not rules.
+        rules = artifacts["rules"]
+        interesting = [
+            rules[i] for i in artifacts["interesting_positions"].tolist()
+        ]
         # Result-set sizes come from the artifacts, not from inside the
         # stages: a cache hit restores outputs without running the stage,
         # and these counts must be right either way.
         stats.num_frequent_itemsets = len(artifacts["support_counts"])
-        stats.num_rules = len(artifacts["rules"])
-        stats.num_interesting_rules = len(artifacts["interesting_rules"])
+        stats.num_rules = len(rules)
+        stats.num_interesting_rules = len(interesting)
 
         stats.total_seconds = time.perf_counter() - started
         if run_span is not None:
@@ -459,8 +465,8 @@ class QuantitativeMiner:
             self._record_run_metrics(obs, stats)
             obs.export()
         return MiningResult(
-            rules=artifacts["rules"],
-            interesting_rules=artifacts["interesting_rules"],
+            rules=rules,
+            interesting_rules=interesting,
             support_counts=artifacts["support_counts"],
             frequent_items=artifacts["frequent_items"],
             mapper=self._mapper,

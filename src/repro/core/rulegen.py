@@ -3,35 +3,47 @@
 "We use the algorithm in [AS94] to generate rules": ap-genrules, grown
 level-wise over consequents.  Confidence is anti-monotone in the
 consequent — moving an item from antecedent to consequent can only shrink
-the antecedent's support denominator's complement — so once a consequent
-fails, its supersets are skipped.
+the antecedent's support denominator's complement — so a consequent is
+tried only when every consequent one item smaller that it contains held,
+which is what ap-genrules' apriori-gen join and prune compute.
 
 Every subset of a frequent itemset is itself frequent and present in the
-support dictionary (candidates are only ever built from frequent items, and
-the Lemma 5 prune removes items globally before any itemset contains
-them), so confidence lookups never miss.
+levels (candidates are only ever built from frequent items, and the
+Lemma 5 prune removes items globally before any itemset contains them),
+so antecedent lookups never miss.
 
-Each itemset's rules are independent of every other itemset's, so at low
-minimum support — where this stage dominates wall-clock — the work fans
-out by frequent-itemset block through the engine's
-:func:`~repro.engine.sharded.partitioned_map`.  Blocks return their
-rules in block order and the final canonical sort makes the merged list
-bit-identical to the serial path for any executor or block size.
+The work runs on the search's level matrices
+(:class:`~repro.core.levels.FrequentLevels`): per level and per set of
+consequent positions, one key lookup finds every row's antecedent in
+the smaller level, and one division gives every confidence.  Rows are
+independent of each other, so at low minimum support — where this stage
+dominates wall-clock — the rows fan out in blocks through the engine's
+:func:`~repro.engine.sharded.partitioned_map`.  Blocks return arrays;
+one sort puts the rules in canonical order, and the
+:class:`~repro.core.rules.QuantitativeRule` objects are built once, in
+that order, from the levels' itemset tuples — bit-identical to the
+serial path for any executor or block size.
 """
 
 from __future__ import annotations
 
-from ..booleans.apriori import generate_candidates as _grow_consequents
+from itertools import combinations
+
+import numpy as np
+
 from ..engine.sharded import partitioned_map, plan_blocks
 from ..engine.stage import PipelineStage
 from .config import RULEGEN_CONFIG_KEYS
-from .items import make_itemset
+from .levels import FrequentLevels, RowIndex
 from .rules import QuantitativeRule
 
 #: Fan rule generation out only past this many eligible itemsets — below
-#: it the per-task payload (the full support dictionary) costs more than
-#: the rules it parallelizes.
+#: it the per-task payload (every level's arrays) costs more than the
+#: rules it parallelizes.
 _MIN_ITEMSETS_TO_FAN_OUT = 32
+
+#: Rules built per batch of Python objects.
+_BUILD_BLOCK = 8192
 
 
 class RuleGenerationStage(PipelineStage):
@@ -43,7 +55,7 @@ class RuleGenerationStage(PipelineStage):
     """
 
     name = "rule_generation"
-    inputs = ("support_counts", "mapper", "config")
+    inputs = ("frequent_levels", "mapper", "config")
     outputs = ("rules",)
     cacheable = True
     config_keys = RULEGEN_CONFIG_KEYS
@@ -53,8 +65,9 @@ class RuleGenerationStage(PipelineStage):
         config = a["config"]
         from .apriori_quant import resolve_target_attribute
 
+        frequent = a["frequent_levels"]
         rules = generate_rules(
-            a["support_counts"],
+            frequent,
             a["mapper"].num_records,
             config.effective_min_confidence,
             target_attribute=resolve_target_attribute(
@@ -70,34 +83,88 @@ class RuleGenerationStage(PipelineStage):
         if context.stats is not None:
             context.stats.num_rules = len(rules)
         context.annotate(
-            frequent_itemsets=len(a["support_counts"]), rules=len(rules)
+            frequent_itemsets=len(frequent.itemsets), rules=len(rules)
         )
         return {"rules": rules}
 
 
-def _rules_block(payload) -> list:
-    """Worker: ap-genrules over one block of frequent itemsets.
+def _rules_block(payload) -> tuple:
+    """Worker: ap-genrules over rows ``[start, stop)`` of the levels of
+    size >= 2, taken in order.
 
-    Needs the *full* support dictionary for antecedent lookups even
-    though it only expands its own block's itemsets.
+    Returns ``(antecedent, consequent, count, confidence)`` arrays, one
+    entry per rule: the two sides as indexes into the levels' itemsets
+    (level by level), the rule itemset's count and the confidence.
     """
-    block, support_counts, num_records, min_confidence, target = payload
-    out: list = []
-    for itemset, count in block:
-        _rules_for_itemset(
-            itemset,
-            count,
-            support_counts,
-            num_records,
-            min_confidence,
-            out,
-            target_attribute=target,
-        )
-    return out
+    levels, attribute, start, stop, min_confidence, target = payload
+    offsets = np.cumsum([0] + [len(rows) for rows, _ in levels])
+    indexes: dict = {}
+
+    def find(size, columns):
+        index = indexes.get(size)
+        if index is None:
+            rows = levels[size - 1][0]
+            index = indexes[size] = RowIndex(list(rows.T), len(rows))
+        found = index.find(columns, len(columns[0]))
+        if (found < 0).any():
+            raise KeyError("a rule side is missing from the frequent itemsets")
+        return found
+
+    out = []
+    first = 0  # row number of the current level's first row
+    for rows, counts in levels[1:]:
+        lo, hi = max(start - first, 0), min(stop - first, len(rows))
+        first += len(rows)
+        if lo >= hi:
+            continue
+        rows, counts = rows[lo:hi], counts[lo:hi]
+        k = rows.shape[1]
+        if target is None:
+            tried = {
+                (p,): np.ones(len(rows), dtype=bool) for p in range(k)
+            }
+            largest = k - 1
+        else:
+            # Goal-directed: the one admissible consequent is the row's
+            # item on the target; consequents are never grown.
+            on_target = attribute[rows] == target
+            tried = {(p,): on_target[:, p] for p in range(k)}
+            largest = 1
+        for m in range(1, largest + 1):
+            if m > 1:
+                tried = {
+                    grown: np.logical_and.reduce(
+                        [passed[sub] for sub in combinations(grown, m - 1)]
+                    )
+                    for grown in combinations(range(k), m)
+                }
+            passed = {}
+            for consequent, mask in tried.items():
+                at = np.flatnonzero(mask)
+                rest = [c for c in range(k) if c not in consequent]
+                antecedent = find(k - m, [rows[at, c] for c in rest])
+                confidence = counts[at] / levels[k - m - 1][1][antecedent]
+                holds = confidence >= min_confidence
+                passed[consequent] = np.zeros(len(rows), dtype=bool)
+                passed[consequent][at[holds]] = True
+                at = at[holds]
+                out.append(
+                    (
+                        offsets[k - m - 1] + antecedent[holds],
+                        offsets[m - 1]
+                        + find(m, [rows[at, c] for c in consequent]),
+                        counts[at],
+                        confidence[holds],
+                    )
+                )
+    if not out:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, np.empty(0)
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
 def generate_rules(
-    support_counts: dict,
+    frequent,
     num_records: int,
     min_confidence: float,
     *,
@@ -111,9 +178,10 @@ def generate_rules(
 ) -> list:
     """All rules meeting ``min_confidence`` from the frequent itemsets.
 
-    ``support_counts`` maps canonical itemsets to absolute support counts
-    (the output of the level-wise search); rules inherit minimum support
-    from their itemsets being frequent.
+    ``frequent`` is the search's :class:`~repro.core.levels.FrequentLevels`,
+    or a mapping from canonical itemsets to absolute support counts,
+    which is converted to one; rules inherit minimum support from their
+    itemsets being frequent.
 
     ``target_attribute`` switches on goal-directed output: only rules
     whose consequent is the single item over that attribute are emitted
@@ -122,7 +190,7 @@ def generate_rules(
     growing any, so no pruning interaction is lost by never growing).
 
     With a multi-worker ``executor`` (or an explicit ``block_size``) the
-    itemsets are processed in blocks under the executor; output is
+    level rows are processed in blocks under the executor; output is
     bit-identical to the serial path either way.
     """
     if not 0.0 <= min_confidence <= 1.0:
@@ -131,11 +199,10 @@ def generate_rules(
         )
     if num_records <= 0:
         return []
-    eligible = [
-        (itemset, count)
-        for itemset, count in support_counts.items()
-        if len(itemset) >= 2
-    ]
+    if not isinstance(frequent, FrequentLevels):
+        frequent = FrequentLevels.from_support_counts(frequent)
+    levels = [(level.rows, level.counts) for level in frequent.levels]
+    eligible = sum(len(rows) for rows, _ in levels[1:])
     # An explicit block size always takes the block path (that is how
     # the equivalence tests exercise it under the serial executor); the
     # derived layout only bothers once the work can amortize payloads.
@@ -146,19 +213,19 @@ def generate_rules(
     fan_out = (
         executor is not None
         and (getattr(executor, "num_workers", 1) > 1 or block_size is not None)
-        and len(eligible) >= min_work
+        and eligible >= min_work
     )
-    rules: list = []
+    attribute = frequent.catalog.attribute
     if fan_out:
         blocks = plan_blocks(
-            eligible, getattr(executor, "num_workers", 1), block_size
+            range(eligible), getattr(executor, "num_workers", 1), block_size
         )
         payloads = [
-            (block, support_counts, num_records, min_confidence,
+            (levels, attribute, block[0], block[-1] + 1, min_confidence,
              target_attribute)
             for block in blocks
         ]
-        for block_rules in partitioned_map(
+        parts = partitioned_map(
             executor,
             _rules_block,
             payloads,
@@ -167,67 +234,57 @@ def generate_rules(
             tracer=tracer,
             parent=span_parent,
             metrics=metrics,
-        ):
-            rules.extend(block_rules)
+        )
     else:
-        for itemset, count in eligible:
-            _rules_for_itemset(
-                itemset,
-                count,
-                support_counts,
-                num_records,
-                min_confidence,
-                rules,
-                target_attribute=target_attribute,
+        parts = [
+            _rules_block(
+                (levels, attribute, 0, eligible, min_confidence,
+                 target_attribute)
             )
-    rules.sort(key=QuantitativeRule.sort_key)
-    return rules
+        ]
+    antecedent, consequent, count, confidence = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    if not len(antecedent):
+        return []
+    rank = _canonical_ranks(levels)
+    order = np.lexsort((rank[consequent], rank[antecedent]))
+    return _build_rules(
+        frequent.itemsets,
+        antecedent[order],
+        consequent[order],
+        count[order] / num_records,
+        confidence[order],
+    )
 
 
-def _rules_for_itemset(
-    itemset,
-    count,
-    support_counts,
-    num_records,
-    min_confidence,
-    out,
-    target_attribute: int | None = None,
-) -> None:
-    support = count / num_records
-    items = set(itemset)
+def _canonical_ranks(levels) -> np.ndarray:
+    """Each itemset's position in canonical order, itemsets numbered
+    level by level: ids padded with -1 sort like the item tuples."""
+    width = len(levels)
+    total = sum(len(rows) for rows, _ in levels)
+    padded = np.full((total, width), -1, dtype=np.int32)
+    first = 0
+    for size, (rows, _) in enumerate(levels, start=1):
+        padded[first:first + len(rows), :size] = rows
+        first += len(rows)
+    rank = np.empty(total, dtype=np.int64)
+    rank[np.lexsort(padded.T[::-1])] = np.arange(total)
+    return rank
 
-    def emit(consequent_items) -> bool:
-        """Try one consequent; returns True when the rule holds."""
-        antecedent = make_itemset(items - set(consequent_items))
-        antecedent_count = support_counts[antecedent]
-        confidence = count / antecedent_count
-        if confidence < min_confidence:
-            return False
-        out.append(
-            QuantitativeRule(
-                antecedent=antecedent,
-                consequent=make_itemset(consequent_items),
-                support=support,
-                confidence=confidence,
+
+def _build_rules(itemsets, antecedent, consequent, support, confidence):
+    """The rule objects, block by block, sides shared with ``itemsets``."""
+    rules: list = []
+    for start in range(0, len(antecedent), _BUILD_BLOCK):
+        stop = start + _BUILD_BLOCK
+        rules.extend(
+            map(
+                QuantitativeRule,
+                [itemsets[i] for i in antecedent[start:stop].tolist()],
+                [itemsets[i] for i in consequent[start:stop].tolist()],
+                support[start:stop].tolist(),
+                confidence[start:stop].tolist(),
             )
         )
-        return True
-
-    if target_attribute is not None:
-        # Goal-directed: the one admissible consequent is the itemset's
-        # item over the target attribute (itemsets without one yield no
-        # rule; consequents are never grown).
-        for item in itemset:
-            if item.attribute == target_attribute:
-                emit((item,))
-                break
-        return
-
-    consequents = [
-        (item,) for item in itemset if emit((item,))
-    ]
-    m = 2
-    while consequents and m < len(itemset):
-        grown = _grow_consequents(sorted(consequents), m)
-        consequents = [c for c in grown if emit(c)]
-        m += 1
+    return rules

@@ -40,6 +40,7 @@ through any :class:`~repro.engine.cache.ArtifactCache`
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ MISSING_CODE = -1
 #: Cache-key prefix for persisted indexes (content-addressed).  The
 #: version names the pickled layout: an index an older layout persisted
 #: sits under another key, so it is rebuilt, never served as this class.
-INDEX_CACHE_PREFIX = "ruleset-index-v2:"
+INDEX_CACHE_PREFIX = "ruleset-index-v3:"
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,9 @@ class RuleIndex:
         self._ranked = np.empty(len(ranked), dtype=object)
         self._ranked[:] = ranked
         self._lo = self._hi = self._concludes = None
-        if use_index and ranked:
+        if use_index:
             self._build_arrays()
+        self._scalar_lookups = [_scalar_lookup(m) for m in self._mappings]
 
     # ------------------------------------------------------------------
     # Construction
@@ -329,7 +331,19 @@ class RuleIndex:
             if name not in record:
                 codes.append(None)
                 continue
-            codes.append(self._encode_value(i, mapping, record[name]))
+            value = record[name]
+            lookup = self._scalar_lookups[i]
+            if lookup is not None and type(value) in (int, float):
+                # ``assign``'s lookup without its numpy round trip.
+                value = float(value)
+                if type(lookup) is dict:
+                    codes.append(lookup.get(value))
+                elif value != value:  # NaN sorts last, as in searchsorted
+                    codes.append(len(lookup))
+                else:
+                    codes.append(bisect_right(lookup, value))
+            else:
+                codes.append(self._encode_value(i, mapping, value))
         return codes
 
     def _encode_value(self, i: int, mapping, value):
@@ -481,3 +495,16 @@ def filter_rules_to_target(rules, target_attribute: int) -> list:
         if len(rule.consequent) == 1
         and rule.consequent[0].attribute == target_attribute
     ]
+
+
+def _scalar_lookup(mapping):
+    """What encodes a plain ``int``/``float`` of a quantitative attribute
+    without ``Partitioning.assign``: the inner edges (a sorted list) of
+    a partitioned one, a value -> code dict of an unpartitioned one;
+    ``None`` for any other attribute."""
+    partitioning = mapping.partitioning
+    if mapping.kind.value == "categorical" or partitioning is None:
+        return None
+    if partitioning.partitioned:
+        return [float(e) for e in partitioning.edges[1:-1]]
+    return {float(v): code for code, v in enumerate(partitioning.values)}

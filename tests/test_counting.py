@@ -17,6 +17,7 @@ from repro.core.counting import (
     count_itemsets,
     group_candidates,
 )
+from repro.core.levels import ItemCatalog
 from repro.engine import (
     SharedColumnStore,
     SharedShardView,
@@ -63,6 +64,49 @@ def brute_support(mapper, itemset, start=0, stop=None):
 BUDGETS = {"array": MinerConfig().memory_budget_bytes, "rtree": 0}
 
 
+def by_length(candidates) -> dict:
+    """``{k: the k-itemsets}``, in order of first appearance."""
+    out = {}
+    for itemset in candidates:
+        out.setdefault(len(itemset), []).append(itemset)
+    return out
+
+
+def grouped(candidates, quantitative, catalog=None) -> list:
+    """``group_candidates`` over itemset tuples, one call per length."""
+    catalog = catalog or ItemCatalog({it for c in candidates for it in c})
+    return [
+        group
+        for k, members in by_length(candidates).items()
+        for group in group_candidates(
+            catalog, catalog.encode(members, k), quantitative
+        )
+    ]
+
+
+def count_tuples(candidates, mapper, quantitative, *args, **kwargs) -> dict:
+    """``count_itemsets`` over itemset tuples: ``{itemset: count}``,
+    one call per length, each in the order it counted."""
+    catalog = ItemCatalog({it for c in candidates for it in c})
+    out = {}
+    for k, members in by_length(candidates).items():
+        level = count_itemsets(
+            catalog,
+            catalog.encode(members, k),
+            mapper,
+            quantitative,
+            *args,
+            **kwargs,
+        )
+        out.update(zip(catalog.decode(level.rows), level.counts.tolist()))
+    return out
+
+
+def level_items(catalog, level) -> list:
+    """A level's ``(itemset, count)`` pairs, in row order."""
+    return list(zip(catalog.decode(level.rows), level.counts.tolist()))
+
+
 def sample_candidates(mapper):
     out = []
     for lo, hi in [(0, 2), (1, 4), (3, 7), (2, 2)]:
@@ -78,9 +122,10 @@ def sample_candidates(mapper):
 class TestGrouping:
     def test_groups_share_categorical_values_and_attrs(self, mapper):
         candidates = sample_candidates(mapper)
-        groups = group_candidates(candidates, {0, 1})
+        catalog = ItemCatalog({it for c in candidates for it in c})
+        groups = grouped(candidates, {0, 1}, catalog)
         for group in groups:
-            for itemset in group.candidates:
+            for itemset in catalog.decode(group.candidates):
                 cat = tuple(
                     it for it in itemset if it.attribute == 2
                 )
@@ -89,7 +134,7 @@ class TestGrouping:
         assert total == len(candidates)
 
     def test_rectangles_align_with_quant_attrs(self, mapper):
-        groups = group_candidates(
+        groups = grouped(
             [make_itemset([Item(0, 1, 4), Item(1, 0, 3)])], {0, 1}
         )
         lo, hi = groups[0].rectangles()
@@ -142,7 +187,7 @@ class TestCountItemsets:
     def test_backends_match_brute_force(self, mapper, backend):
         candidates = sample_candidates(mapper)
         stats = CountingStats()
-        counts = count_itemsets(
+        counts = count_tuples(
             candidates, mapper, {0, 1}, BUDGETS[backend], stats=stats
         )
         assert set(stats.groups_by_backend) == {backend, "mask"}
@@ -153,7 +198,7 @@ class TestCountItemsets:
     def test_backends_agree_with_each_other(self, mapper):
         candidates = sample_candidates(mapper)
         array, rtree = (
-            count_itemsets(candidates, mapper, {0, 1}, BUDGETS[b])
+            count_tuples(candidates, mapper, {0, 1}, BUDGETS[b])
             for b in ("array", "rtree")
         )
         assert rtree == array
@@ -161,7 +206,7 @@ class TestCountItemsets:
 
     def test_stats_record_backends(self, mapper):
         stats = CountingStats()
-        count_itemsets(sample_candidates(mapper), mapper, {0, 1}, stats=stats)
+        count_tuples(sample_candidates(mapper), mapper, {0, 1}, stats=stats)
         assert stats.groups_by_backend.get("array", 0) > 0
         # The pure-categorical candidate is counted via the mask.
         assert stats.groups_by_backend.get("mask", 0) == 1
@@ -170,7 +215,7 @@ class TestCountItemsets:
 class TestChooseBackend:
     # Two 8-value attributes: a 64-cell array, 512 bytes at 8 a cell.
     def _group(self):
-        (group,) = group_candidates(
+        (group,) = grouped(
             [make_itemset([Item(0, 0, 1), Item(1, 0, 1)])], {0, 1}
         )
         return group
@@ -185,7 +230,7 @@ class TestChooseBackend:
         assert choose_backend(self._group(), mapper, 0) == "rtree"
 
     def test_pure_categorical_group_needs_no_structure(self, mapper):
-        (group,) = group_candidates([make_itemset([Item(2, 0, 0)])], {0, 1})
+        (group,) = grouped([make_itemset([Item(2, 0, 0)])], {0, 1})
         assert choose_backend(group, mapper, 0) == "mask"
         assert choose_backend(group, mapper, 1 << 30) == "mask"
 
@@ -197,14 +242,13 @@ class TestCountFrequentPairs:
         return find_frequent_items(mapper, 0.05, 0.5)
 
     def test_matches_explicit_enumeration(self, mapper):
-        from repro.core.candidates import pairs_by_attribute
-
-        freq = self._frequent_items(mapper)
-        buckets = pairs_by_attribute(freq.supports)
+        catalog = ItemCatalog(self._frequent_items(mapper).supports)
+        buckets = catalog.by_attribute()
         min_count = 0.05 * mapper.num_records
-        fast, num_candidates = count_frequent_pairs(
-            buckets, mapper, {0, 1}, min_count
+        level, num_candidates = count_frequent_pairs(
+            catalog, buckets, mapper, {0, 1}, min_count
         )
+        fast = dict(level_items(catalog, level))
         # Reference: enumerate and count every cross-attribute pair.
         slow = {}
         attrs = sorted(buckets)
@@ -214,7 +258,9 @@ class TestCountFrequentPairs:
                 for ia in buckets[a]:
                     for ib in buckets[b]:
                         expected_candidates += 1
-                        pair = make_itemset([ia, ib])
+                        pair = make_itemset(
+                            [catalog.items[ia], catalog.items[ib]]
+                        )
                         count = brute_support(mapper, pair)
                         if count >= min_count:
                             slow[pair] = count
@@ -226,18 +272,18 @@ class TestCountFrequentPairs:
         """Budget 0 sends every pair through explicit groups on the
         R*-tree; frequent pairs, their order and the candidate tally
         match the cross-product tables'."""
-        from repro.core.candidates import pairs_by_attribute
-
-        freq = self._frequent_items(mapper)
-        buckets = pairs_by_attribute(freq.supports)
+        catalog = ItemCatalog(self._frequent_items(mapper).supports)
+        buckets = catalog.by_attribute()
         min_count = 0.1 * mapper.num_records
-        fast, fast_n = count_frequent_pairs(buckets, mapper, {0, 1}, min_count)
+        fast, fast_n = count_frequent_pairs(
+            catalog, buckets, mapper, {0, 1}, min_count
+        )
         stats = CountingStats()
         slow, slow_n = count_frequent_pairs(
-            buckets, mapper, {0, 1}, min_count, BUDGETS[backend], stats
+            catalog, buckets, mapper, {0, 1}, min_count, BUDGETS[backend],
+            stats,
         )
-        assert fast == slow
-        assert list(fast) == list(slow)
+        assert level_items(catalog, fast) == level_items(catalog, slow)
         assert fast_n == slow_n
         assert "array" not in stats.groups_by_backend
 
@@ -245,20 +291,22 @@ class TestCountFrequentPairs:
         """Each pair's table is charged on its own: with room for the
         8-cell arrays but not the 64-cell joint tables, the mixed pairs
         stay cross products while the (x, y) pair goes explicit."""
-        from repro.core.candidates import pairs_by_attribute
         from repro.core.counting import _ExplicitPlan, build_pair_plans
 
-        buckets = pairs_by_attribute(self._frequent_items(mapper).supports)
-        plans, __ = build_pair_plans(buckets, mapper, {0, 1}, 8 * 8)
+        catalog = ItemCatalog(self._frequent_items(mapper).supports)
+        buckets = catalog.by_attribute()
+        plans, __ = build_pair_plans(catalog, buckets, mapper, {0, 1}, 8 * 8)
         explicit = [isinstance(plan, _ExplicitPlan) for plan in plans]
         assert explicit == [True, False, False]
         stats = CountingStats()
         min_count = 0.05 * mapper.num_records
         mixed, __ = count_frequent_pairs(
-            buckets, mapper, {0, 1}, min_count, 8 * 8, stats
+            catalog, buckets, mapper, {0, 1}, min_count, 8 * 8, stats
         )
-        roomy, __ = count_frequent_pairs(buckets, mapper, {0, 1}, min_count)
-        assert list(mixed.items()) == list(roomy.items())
+        roomy, __ = count_frequent_pairs(
+            catalog, buckets, mapper, {0, 1}, min_count
+        )
+        assert level_items(catalog, mixed) == level_items(catalog, roomy)
         assert {"array", "rtree"} <= set(stats.groups_by_backend)
 
     def test_categorical_mask_none_for_empty(self, mapper):
@@ -355,7 +403,8 @@ class TestSharedConjunctions:
                         Item(a, lo, hi) for a, (lo, hi) in zip(attrs, bounds)
                     ]
                     candidates.append(make_itemset(list(conjunction) + quant))
-        return group_candidates(candidates, {0, 1})
+        catalog = ItemCatalog({it for c in candidates for it in c})
+        return catalog, grouped(candidates, {0, 1}, catalog)
 
     def _views(self, mapper, store):
         n = mapper.num_records
@@ -369,7 +418,7 @@ class TestSharedConjunctions:
     @pytest.mark.parametrize("budget", ["array", "rtree"])
     def test_counts_match_brute_force_on_every_view(self, budget):
         mapper = self._mapper()
-        groups = self._groups()
+        catalog, groups = self._groups()
         backends = [
             choose_backend(group, mapper, BUDGETS[budget]) for group in groups
         ]
@@ -381,7 +430,7 @@ class TestSharedConjunctions:
                 for group, counts in zip(groups, per_group):
                     assert counts == [
                         brute_support(mapper, itemset, start, stop)
-                        for itemset in group.candidates
+                        for itemset in catalog.decode(group.candidates)
                     ], (type(view).__name__, start, stop)
         finally:
             if store is not None:
@@ -392,7 +441,7 @@ class TestSharedConjunctions:
         import repro.core.counting as counting
 
         mapper = self._mapper()
-        groups = self._groups()
+        catalog, groups = self._groups()
         assert len(groups) > len(self.CONJUNCTIONS)
         seen = []
         original = counting.categorical_mask
@@ -402,8 +451,13 @@ class TestSharedConjunctions:
             return original(view, items)
 
         monkeypatch.setattr(counting, "categorical_mask", counted)
-        candidates = [itemset for g in groups for itemset in g.candidates]
-        counts = count_itemsets(candidates, mapper, {0, 1}, BUDGETS[budget])
+        backends = [
+            choose_backend(group, mapper, BUDGETS[budget]) for group in groups
+        ]
+        per_group = count_groups(groups, backends, mapper)
         assert sorted(seen) == sorted(self.CONJUNCTIONS)
-        for itemset, count in counts.items():
-            assert count == brute_support(mapper, itemset)
+        for group, counts in zip(groups, per_group):
+            for itemset, count in zip(
+                catalog.decode(group.candidates), counts
+            ):
+                assert count == brute_support(mapper, itemset)

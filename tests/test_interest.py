@@ -233,7 +233,7 @@ class TestSpecializationMachinery:
         # combining several such columns must not overflow int64.
         import numpy as np
 
-        from repro.core.interest import _RowIndex
+        from repro.core.levels import RowIndex
 
         rng = np.random.default_rng(3)
         codes = np.array([0, 1, 2**31 - 2, 2**31 - 1], dtype=np.int64)
@@ -241,7 +241,7 @@ class TestSpecializationMachinery:
         queries = np.vstack(
             [rows[:50], codes[rng.integers(0, 4, size=(50, 4))]]
         )
-        index = _RowIndex([rows[:, c] for c in range(4)], len(rows))
+        index = RowIndex([rows[:, c] for c in range(4)], len(rows))
         start, stop = index.ranges(
             [queries[:, c] for c in range(4)], len(queries)
         )

@@ -11,6 +11,7 @@ from repro.core import (
     make_itemset,
 )
 from repro.core.counting import choose_backend, group_candidates
+from repro.core.levels import ItemCatalog
 from repro.core.items import specializations_within
 from repro.data import age_partition_edges, people_table
 from repro.table import RelationalTable, TableSchema, quantitative
@@ -92,7 +93,10 @@ class TestAutoBackendHeuristic:
         candidates = [
             make_itemset([Item(a, 0, 5) for a in range(5)]),
         ]
-        (group,) = group_candidates(candidates, set(range(5)))
+        catalog = ItemCatalog(candidates[0])
+        (group,) = group_candidates(
+            catalog, catalog.encode(candidates, 5), set(range(5))
+        )
         resolved = choose_backend(
             group, mapper, memory_budget_bytes=64 * 1024 * 1024
         )
@@ -108,7 +112,10 @@ class TestAutoBackendHeuristic:
             ),
         )
         candidates = [make_itemset([Item(0, 0, 1), Item(2, 0, 1)])]
-        (group,) = group_candidates(candidates, {0, 2})
+        catalog = ItemCatalog(candidates[0])
+        (group,) = group_candidates(
+            catalog, catalog.encode(candidates, 2), {0, 2}
+        )
         assert choose_backend(group, mapper, 1 << 30) == "array"
 
 

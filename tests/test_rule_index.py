@@ -12,6 +12,7 @@ registry's id hygiene and index persistence.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,64 @@ class TestRecordEncoding:
         )
         assert set(codes) == {None}
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_encoding_equals_partitioning_assign(self, data):
+        """Every value encodes to what ``Partitioning.assign`` gives it
+        (``None`` where ``assign`` raises), on partitioned and
+        unpartitioned attributes alike."""
+        # Floats past 2**53 are 2 apart, so ints between them round.
+        big = [2.0**53 + 2 * i for i in range(4)]
+        raw = sorted(
+            data.draw(
+                st.sets(
+                    st.one_of(
+                        st.floats(-1e3, 1e3, allow_nan=False),
+                        st.sampled_from(big),
+                    ),
+                    min_size=2,
+                    max_size=8,
+                )
+            )
+        )
+        partitioned = data.draw(st.booleans())
+        partitioning = Partitioning(
+            edges=tuple(raw),
+            partitioned=partitioned,
+            values=() if partitioned else tuple(raw),
+        )
+        mapping = AttributeMapping(
+            name="x",
+            kind=AttributeKind.QUANTITATIVE,
+            cardinality=partitioning.num_intervals,
+            partitioning=partitioning,
+        )
+        index = RuleIndex([], [mapping])
+        seen = st.sampled_from(raw)
+        value = data.draw(
+            st.one_of(
+                seen,
+                seen.map(lambda v: v + 1e-9),
+                seen.map(int),
+                st.floats(allow_nan=True),
+                st.integers(-2000, 2000),
+                st.integers(2**53 - 2, 2**53 + 8),
+                st.sampled_from(
+                    [float("inf"), float("-inf"), float("nan"), None]
+                ),
+                st.booleans(),
+                seen.map(np.float64),
+                st.integers(-2000, 2000).map(np.int64),
+                seen.map(repr),
+                st.sampled_from(["not-a-number", ""]),
+            )
+        )
+        try:
+            expected = int(partitioning.assign([value])[0])
+        except (TypeError, ValueError):
+            expected = None
+        assert index.encode_record({"x": value}) == [expected]
+
 
 class TestRulesetRegistry:
     def test_put_describe_match_predict(self, result):
@@ -316,7 +375,8 @@ class TestArrayPath:
     def test_queries_equal_the_linear_scan(self, data):
         mappings, rules, lifts = data.draw(hand_built_rulesets())
         index = RuleIndex(rules, mappings, lifts=lifts)
-        assert index.indexed == bool(rules)
+        # Built with use_index=True, even over zero rules.
+        assert index.indexed
         for _ in range(data.draw(st.integers(1, 6))):
             record = data.draw(records_for(mappings, rules))
             scan = index.match(record, use_index=False)
@@ -331,8 +391,12 @@ class TestArrayPath:
                         record, target, top=top, use_index=False
                     )
         if not rules:
-            with pytest.raises(ValueError, match="use_index"):
-                index.match({}, use_index=True)
+            assert index.match({}, use_index=True) == []
+            assert index.predict({}, UNUSED, use_index=True).interval is None
+        linear = RuleIndex(rules, mappings, lifts=lifts, use_index=False)
+        assert not linear.indexed
+        with pytest.raises(ValueError, match="use_index"):
+            linear.match({}, use_index=True)
 
 
 #: Name of the attribute no hand-built rule mentions: a target nothing
